@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "net/hierarchical.hpp"
 #include "net/presets.hpp"
@@ -32,6 +33,26 @@ std::unique_ptr<net::Network> make_fabric(sim::Engine& engine,
   }
   return nullptr;
 }
+
+// The kNodeLocal contract.  Throws naming the first condition that fails.
+void check_partition_clean(const ClusterConfig& cfg,
+                           sim::Duration lookahead) {
+  if (lookahead <= 0) {
+    throw std::invalid_argument(
+        "kNodeLocal needs lookahead > 0: shared media (kEthernet) have "
+        "zero safe lookahead; use a switched fabric");
+  }
+  if (cfg.with_glunix || cfg.with_xfs || cfg.with_netram_registry) {
+    throw std::invalid_argument(
+        "kNodeLocal forbids cluster services (with_glunix, with_xfs, "
+        "with_netram_registry): they touch many nodes' state per event");
+  }
+  if (cfg.am.loss_probability != 0.0) {
+    throw std::invalid_argument(
+        "kNodeLocal forbids AM loss (am.loss_probability > 0): loss "
+        "injection draws from one RNG shared across lanes");
+  }
+}
 }  // namespace
 
 Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
@@ -52,34 +73,21 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
 
   // Partitioned execution (opt-in): each node's events run on a lane of a
   // ParallelEngine instead of the cluster engine.  Only workloads whose
-  // nodes interact exclusively through the network qualify — the asserts
-  // spell the contract out; release builds fall back to serial if it does
-  // not hold rather than race.
+  // nodes interact exclusively through the network qualify; any other
+  // kNodeLocal config is rejected at every thread count.
   unsigned threads = config_.threads == 0 ? 1 : config_.threads;
   if (config_.run != nullptr && config_.run->thread_budget > 0) {
     threads = std::min(threads, config_.run->thread_budget);
   }
   threads = std::min(threads, config_.workstations);
-  if (config_.partitioning == Partitioning::kNodeLocal && threads > 1) {
+  if (config_.partitioning == Partitioning::kNodeLocal) {
     const sim::Duration lookahead = network_->min_latency();
-    assert(lookahead > 0 &&
-           "kNodeLocal needs a switched fabric: shared media (kEthernet) "
-           "have zero safe lookahead");
-    assert(!config_.with_glunix && !config_.with_xfs &&
-           !config_.with_netram_registry &&
-           "kNodeLocal requires a partition-clean workload: cluster "
-           "services touch many nodes' state per event");
-    assert(config_.am.loss_probability == 0.0 &&
-           "AM loss injection draws from one RNG shared across lanes");
-    const bool clean = lookahead > 0 && !config_.with_glunix &&
-                       !config_.with_xfs && !config_.with_netram_registry &&
-                       config_.am.loss_probability == 0.0;
-    if (clean) {
+    check_partition_clean(config_, lookahead);
+    if (threads > 1) {
       sim::ParallelConfig pc;
       pc.threads = threads;
       pc.nodes = config_.workstations;
       pc.lookahead = lookahead;
-      pc.relaxed_sync = config_.relaxed_sync;
       if (config_.fabric == Fabric::kBuildingNow) {
         // Align lane boundaries to edge switches: a rack never spans two
         // lanes, so the whole rack-local event stream (the lookahead is

@@ -199,8 +199,10 @@ void AmLayer::on_timeout(EndpointId src, EndpointId dst) {
   tx.timer = 0;
   if (tx.unacked.empty()) return;
   if (!ep(src).node->alive()) {
-    // The sender itself died; abandon the window quietly.
-    ep(src).tx.erase(it);
+    // The sender itself died; abandon the window.  The receiver still
+    // holds this generation's in-order state, so whatever the sender sends
+    // after its restart must open a new one.
+    new_epoch(src, tx);
     return;
   }
   if (++tx.timeouts > params_.max_retries) {
@@ -209,18 +211,8 @@ void AmLayer::on_timeout(EndpointId src, EndpointId dst) {
       ++stats_.pair_failures;
     }
     obs_pair_failures_->inc();
-    obs_epoch_bumps_->inc();
-    obs::tracer().instant(ep(src).node->id(), obs_track_, "epoch_bump");
     tx.failed = true;
-    tx.unacked.clear();
-    tx.pending.clear();
-    // New connection generation: the next send starts at seq 0 under a
-    // fresh epoch, so a peer holding stale in-order state (a reboot, or
-    // simply having missed everything) resynchronizes.
-    ++tx.epoch;
-    tx.base = 0;
-    tx.next_seq = 0;
-    tx.timeouts = 0;
+    new_epoch(src, tx);
     if (on_failure_) on_failure_(src, dst);
     return;
   }
@@ -235,6 +227,20 @@ void AmLayer::on_timeout(EndpointId src, EndpointId dst) {
     obs_retransmits_->inc();
   }
   arm_timer(src, dst, tx);
+}
+
+void AmLayer::new_epoch(EndpointId src, PairTx& tx) {
+  obs_epoch_bumps_->inc();
+  obs::tracer().instant(ep(src).node->id(), obs_track_, "epoch_bump");
+  tx.unacked.clear();
+  tx.pending.clear();
+  // New connection generation: the next send starts at seq 0 under a
+  // fresh epoch, so a peer holding stale in-order state (a reboot, or
+  // simply having missed everything) resynchronizes.
+  ++tx.epoch;
+  tx.base = 0;
+  tx.next_seq = 0;
+  tx.timeouts = 0;
 }
 
 void AmLayer::on_packet(net::Packet&& pkt) {
@@ -265,6 +271,7 @@ void AmLayer::on_data(WireData&& d) {
     rx.delivered = 0;
     rx.handled = 0;
     rx.last_acked = 0;
+    rx.partial_bytes = 0;
   }
   if (d.seq != rx.delivered) {
     // Out of order: either a duplicate (seq < delivered) or a gap after a
@@ -296,11 +303,10 @@ void AmLayer::handle_now(Endpoint& e, EndpointId dst_ep, WireData&& d) {
   AmMessage msg;
   if (d.msg_bytes > params_.mtu_bytes) {
     // Bulk transfer: the handler fires once the final fragment lands.
-    std::uint64_t& got = e.partial_bytes[d.src_ep];
-    got += d.frag_bytes;
+    rx.partial_bytes += d.frag_bytes;
     if (d.last) {
-      assert(got == d.msg_bytes);
-      got = 0;
+      assert(rx.partial_bytes == d.msg_bytes);
+      rx.partial_bytes = 0;
       run_handler = true;
     }
   } else {

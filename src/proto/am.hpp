@@ -190,6 +190,7 @@ class AmLayer {
     std::uint32_t delivered = 0;   // next in-order seq expected on the wire
     std::uint32_t handled = 0;     // fragments consumed by handlers so far
     std::uint32_t last_acked = 0;  // handled value last advertised
+    std::uint64_t partial_bytes = 0;  // of the bulk message being reassembled
     bool ack_flush_pending = false;
   };
 
@@ -204,8 +205,6 @@ class AmLayer {
     std::unordered_map<HandlerId, Handler> handlers;
     // Polling endpoints: delivered-but-unhandled messages.
     std::deque<WireData> rx_queue;
-    // Reassembly: bytes accumulated of a fragmented message, per source ep.
-    std::unordered_map<EndpointId, std::uint64_t> partial_bytes;
     std::unordered_map<EndpointId, PairTx> tx;  // keyed by destination ep
     std::unordered_map<EndpointId, PairRx> rx;  // keyed by source ep
   };
@@ -221,6 +220,8 @@ class AmLayer {
   void transmit(EndpointId src, EndpointId dst, const Fragment& f);
   void arm_timer(EndpointId src, EndpointId dst, PairTx& tx);
   void on_timeout(EndpointId src, EndpointId dst);
+  /// Abandons `tx`'s window and opens a new connection generation.
+  void new_epoch(EndpointId src, PairTx& tx);
   void on_packet(net::Packet&& pkt);
   void on_data(WireData&& d);
   void on_ack(const WireAck& a);

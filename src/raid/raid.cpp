@@ -271,25 +271,22 @@ void SoftwareRaid::reconstruct(net::NodeId failed, os::Node& replacement,
   const net::NodeId driver = replacement.id();
 
   // Rebuild chunk-by-chunk: read the row from every survivor, XOR, write
-  // the reconstructed unit onto the replacement's disk.
+  // the reconstructed unit onto the replacement's disk.  The step refers
+  // to itself weakly: only the in-flight row's join owns it, so a rebuild
+  // cut off at teardown is freed with the pending events.
   auto row_counter = std::make_shared<std::uint64_t>(0);
   auto step = std::make_shared<std::function<void()>>();
-  *step = [this, row_counter, step, chunks, unit, idx, driver, &replacement,
-           failed, done = std::move(done)]() mutable {
+  *step = [this, row_counter, self = std::weak_ptr(step), chunks, unit, idx,
+           driver, &replacement, failed, done = std::move(done)]() mutable {
     if (*row_counter == chunks) {
       failed_.erase(failed);
       members_[idx] = &replacement;
       if (done) done();
-      // Break the self-reference cycle, but not while this lambda is still
-      // executing — destroying an active std::function is undefined.
-      rpc_.engine().schedule_in(0, [step] { *step = nullptr; });
       return;
     }
     const std::uint64_t row = (*row_counter)++;
     const std::size_t survivors = members_.size() - failed_.size();
-    auto join = make_join(survivors + 1, [step] {
-      if (*step) (*step)();
-    });
+    auto join = make_join(survivors + 1, [step = self.lock()] { (*step)(); });
     for (std::size_t m = 0; m < members_.size(); ++m) {
       if (m == idx || is_failed(m)) continue;
       issue_read(driver,

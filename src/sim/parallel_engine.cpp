@@ -15,7 +15,6 @@ ParallelEngine::ParallelEngine(Engine& global, ParallelConfig cfg)
   assert(cfg_.threads >= 1);
   assert(cfg_.nodes >= 1);
   assert(cfg_.lookahead > 0 && "partitioned execution needs lookahead > 0");
-  assert(cfg_.relaxed_sync >= 1.0);
   if (cfg_.align == 0) cfg_.align = 1;
   // Lanes are dealt whole alignment groups (racks); more lanes than groups
   // would leave the extras permanently idle.
@@ -25,9 +24,6 @@ ParallelEngine::ParallelEngine(Engine& global, ParallelConfig cfg)
     cfg_.threads = static_cast<unsigned>(groups_);
   }
   if (cfg_.threads > cfg_.nodes) cfg_.threads = cfg_.nodes;
-  window_ = std::max<Duration>(
-      1, static_cast<Duration>(static_cast<double>(cfg_.lookahead) *
-                               cfg_.relaxed_sync));
   parts_.reserve(cfg_.threads);
   for (unsigned i = 0; i < cfg_.threads; ++i) {
     parts_.push_back(std::make_unique<Engine>());
@@ -175,14 +171,14 @@ std::uint64_t ParallelEngine::drive(SimTime deadline, bool bounded) {
     // Parallel epoch [m, end): every lane dispatches its own events; no
     // cross-lane interaction can land inside the window (lookahead), so the
     // lanes share nothing until the next barrier.
-    SimTime end = m + window_;
+    SimTime end = m + cfg_.lookahead;
     if (end > g) end = g;
     if (bounded && deadline != kNever && end > deadline + 1) {
       end = deadline + 1;  // events at exactly `deadline` still run
     }
     run_epoch(end);
   }
-  drain_mailboxes();  // relaxed mode can leave tail messages behind the bound
+  drain_mailboxes();
   if (bounded) {
     advance_parts_to(deadline);
     global_.advance_to(deadline);

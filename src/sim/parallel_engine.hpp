@@ -24,12 +24,6 @@
 //    event runs alone with exclusive access to all state — a fault
 //    injection can crash a node in any partition exactly as it would
 //    serially.
-//
-// relaxed_sync > 1 widens epochs to W * relaxed_sync (DARSIM's speed knob):
-// fewer barriers, but a cross-lane message can now arrive "late" — after
-// the destination clock passed its timestamp — and is clamped to the
-// present, skewing delivery times.  Accuracy and thread-count determinism
-// caveats are documented in DESIGN.md §12; strict mode (1.0) has neither.
 #pragma once
 
 #include <condition_variable>
@@ -64,8 +58,6 @@ struct ParallelConfig {
   /// Conservative lookahead window W.  Must be > 0 and no larger than the
   /// minimum cross-node interaction latency (the fabric's one-way latency).
   Duration lookahead = 0;
-  /// Epoch width multiplier >= 1.0.  1.0 = strict conservative execution.
-  double relaxed_sync = 1.0;
   /// Run once on each worker thread before it executes events.  The sim
   /// layer knows nothing about observability; the Cluster passes a hook
   /// installing the run's thread-local metrics/tracer/log bindings here, so
@@ -142,7 +134,6 @@ class ParallelEngine final : public ExecDomain {
   Engine& global_;
   ParallelConfig cfg_;
   std::uint64_t groups_ = 1;  // ceil(nodes / align), the lane-block count
-  Duration window_ = 1;
   std::vector<std::unique_ptr<Engine>> parts_;
   std::vector<Mailbox> mail_;  // indexed [src_lane * P + dst_lane]
   std::vector<Msg> merge_buf_;

@@ -23,7 +23,7 @@ void LogStore::update_util_gauge() {
   std::uint64_t live = 0;
   std::uint64_t allocated = 0;
   for (const Segment& seg : segments_) {
-    if (seg.free || seg.on_tape) continue;
+    if (seg.free) continue;
     live += seg.live_count;
     allocated += segment_blocks_;
   }
@@ -67,7 +67,6 @@ void LogStore::append_segment(net::NodeId writer,
   const SegmentId s = allocate_segment();
   Segment& seg = segments_[s];
   seg.free = false;
-  seg.on_tape = false;
   seg.blocks = blocks;
   seg.live.assign(blocks.size(), true);
   seg.live_count = static_cast<std::uint32_t>(blocks.size());
@@ -89,50 +88,11 @@ void LogStore::read_block(net::NodeId reader, BlockId b, Done done) {
   assert(it != imap_.end() && "read_block() on block not in the log");
   ++stats_.blocks_read;
   obs_blocks_read_->inc();
-  const Segment& seg = segments_[it->second.segment];
-  if (seg.on_tape) {
-    assert(tape_ != nullptr);
-    ++stats_.tape_reads;
-    tape_->read(block_bytes_, std::move(done));
-    return;
-  }
   storage_.read(reader,
                 segment_offset(it->second.segment) +
                     static_cast<std::uint64_t>(it->second.slot) *
                         block_bytes_,
                 block_bytes_, std::move(done));
-}
-
-bool LogStore::on_tape(BlockId b) const {
-  const auto it = imap_.find(b);
-  if (it == imap_.end()) return false;
-  return segments_[it->second.segment].on_tape;
-}
-
-std::vector<SegmentId> LogStore::archivable_segments() const {
-  std::vector<SegmentId> v;
-  for (SegmentId s = 0; s < segments_.size(); ++s) {
-    const Segment& seg = segments_[s];
-    if (!seg.free && !seg.on_tape && seg.live_count > 0) v.push_back(s);
-  }
-  return v;
-}
-
-void LogStore::archive_segment(net::NodeId driver, SegmentId s, Done done) {
-  assert(tape_ != nullptr && "archive without a tape tier");
-  assert(s < segments_.size());
-  Segment& seg = segments_[s];
-  assert(!seg.free && !seg.on_tape);
-  ++stats_.segments_archived;
-  const std::uint64_t bytes =
-      static_cast<std::uint64_t>(seg.live_count) * block_bytes_;
-  // Stream off the RAID, then onto tape; the RAID space is then free for
-  // fresh segments (the segment keeps its id, now tape-resident).
-  storage_.read(driver, segment_offset(s), static_cast<std::uint32_t>(bytes),
-                [this, s, bytes, done = std::move(done)]() mutable {
-                  segments_[s].on_tape = true;
-                  tape_->write(bytes, std::move(done));
-                });
 }
 
 double LogStore::utilization(SegmentId s) const {
@@ -147,7 +107,7 @@ void LogStore::clean(net::NodeId driver, double threshold,
   std::vector<SegmentId> victims;
   for (SegmentId s = 0; s < segments_.size(); ++s) {
     const Segment& seg = segments_[s];
-    if (seg.free || seg.on_tape || seg.live_count == 0) continue;
+    if (seg.free || seg.live_count == 0) continue;
     if (utilization(s) <= threshold) victims.push_back(s);
   }
   if (victims.empty()) {

@@ -15,7 +15,6 @@
 
 #include "obs/metrics.hpp"
 #include "raid/raid.hpp"
-#include "xfs/tape.hpp"
 
 namespace now::xfs {
 
@@ -29,8 +28,6 @@ struct LogStats {
   std::uint64_t blocks_read = 0;
   std::uint64_t segments_cleaned = 0;
   std::uint64_t live_blocks_copied = 0;
-  std::uint64_t segments_archived = 0;
-  std::uint64_t tape_reads = 0;
 };
 
 class LogStore {
@@ -69,31 +66,12 @@ class LogStore {
   std::size_t segment_count() const { return segments_.size(); }
   const LogStats& stats() const { return stats_; }
 
-  // --- Tape tier ------------------------------------------------------
-  /// Attaches a robotic tape archive as the tier below the RAID.
-  void set_tape(TapeArchive* tape) { tape_ = tape; }
-
-  /// Migrates segment `s` (must be live, not already archived) to tape,
-  /// driven by `driver`: its data is read off the RAID, streamed to tape,
-  /// and the RAID space is freed.  Reads of its blocks then pay the tape.
-  void archive_segment(net::NodeId driver, SegmentId s, Done done);
-
-  /// Segments eligible for archival: on the RAID with any live data.
-  std::vector<SegmentId> archivable_segments() const;
-
-  bool archived(SegmentId s) const {
-    return s < segments_.size() && segments_[s].on_tape;
-  }
-  /// True if `b`'s current copy lives on tape.
-  bool on_tape(BlockId b) const;
-
  private:
   struct Segment {
     std::vector<BlockId> blocks;  // slot -> block id
     std::vector<bool> live;
     std::uint32_t live_count = 0;
     bool free = true;
-    bool on_tape = false;
   };
   struct Location {
     SegmentId segment = kNoSegment;
@@ -113,7 +91,6 @@ class LogStore {
   std::uint32_t block_bytes_;
   std::vector<Segment> segments_;
   std::unordered_map<BlockId, Location> imap_;
-  TapeArchive* tape_ = nullptr;
   LogStats stats_;
   obs::Counter* obs_segments_written_;
   obs::Counter* obs_segments_cleaned_;

@@ -1,18 +1,19 @@
 // now::sim::ParallelEngine — partitioned intra-run execution.
 //
-// The contract under test (DESIGN.md §12): at relaxed_sync = 1.0 a
-// partitioned run is *result-identical* to the serial engine at any
-// thread count.  Covered here: the new Engine epoch primitives, the
-// deterministic cross-lane merge order (golden), digest equality for
-// threads {1, 2, 8} on a partition-clean RPC workload, a fault landing
-// in a non-zero partition, an all-to-all stress shaped for TSan, and
-// the sweep-nesting thread-budget clamp.
+// The contract under test (DESIGN.md §12): a partitioned run is
+// *result-identical* to the serial engine at any thread count.  Covered
+// here: the new Engine epoch primitives, the deterministic cross-lane
+// merge order (golden), digest equality for threads {1, 2, 8} on a
+// partition-clean RPC workload, a fault landing in a non-zero partition,
+// an all-to-all stress shaped for TSan, the rejection of a config that
+// is not partition-clean, and the sweep-nesting thread-budget clamp.
 #include <gtest/gtest.h>
 
 #include <any>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -114,15 +115,13 @@ struct EchoResult {
 // workload is partition-clean; with `plan`, the cluster machinery
 // injects faults from the exclusive global lane.
 EchoResult run_echo(std::uint32_t nodes, unsigned threads,
-                    sim::SimTime horizon, fault::FaultPlan plan = {},
-                    double relaxed_sync = 1.0) {
+                    sim::SimTime horizon, fault::FaultPlan plan = {}) {
   constexpr proto::MethodId kEcho = 9;
   ClusterConfig cfg;
   cfg.workstations = nodes;
   cfg.with_glunix = false;
   cfg.threads = threads;
   cfg.partitioning = Partitioning::kNodeLocal;
-  cfg.relaxed_sync = relaxed_sync;
   cfg.fault_plan = std::move(plan);
   Cluster c(cfg);
 
@@ -202,15 +201,6 @@ TEST(ParallelCluster, FaultInNonZeroPartitionMatchesSerial) {
   EXPECT_EQ(par.crashes, 1u);
 }
 
-TEST(ParallelCluster, RelaxedSyncRunsToCompletion) {
-  // relaxed_sync > 1 widens epochs: no determinism-vs-serial claim (that
-  // is the documented trade), but it must drive the workload to the
-  // horizon with every node making progress.
-  const EchoResult r =
-      run_echo(16, 4, 10 * sim::kMillisecond, {}, /*relaxed_sync=*/8.0);
-  for (const std::uint64_t o : r.ops) EXPECT_GT(o, 0u);
-}
-
 // --- All-to-all stress (the TSan target) ------------------------------
 
 TEST(ParallelCluster, AllToAllStress) {
@@ -256,6 +246,25 @@ TEST(ParallelCluster, AllToAllStress) {
   for (std::uint32_t i = 0; i < kNodes; ++i) EXPECT_GT(ops[i], 0u);
 }
 
+// --- The kNodeLocal contract is checked, not assumed ------------------
+
+TEST(ParallelCluster, NodeLocalWithServicesThrows) {
+  // GLUnix touches many nodes' state per event, so a partitioned run of
+  // it would race.  The cluster must refuse rather than fall back.
+  ClusterConfig cfg;
+  cfg.workstations = 8;
+  cfg.with_glunix = true;
+  cfg.threads = 2;
+  cfg.partitioning = Partitioning::kNodeLocal;
+  try {
+    Cluster c(cfg);
+    FAIL() << "kNodeLocal with GLUnix was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("with_glunix"), std::string::npos)
+        << e.what();
+  }
+}
+
 // --- Sweep nesting: jobs x threads must not oversubscribe -------------
 
 TEST(ParallelCluster, SweepClampsNestedThreadBudget) {
@@ -280,7 +289,9 @@ TEST(ParallelCluster, SweepClampsNestedThreadBudget) {
       {.jobs = 2});
   for (const unsigned l : lanes) {
     EXPECT_LE(l, std::max(budget, 1u));
-    if (budget == 1) EXPECT_EQ(l, 1u);  // pe_ skipped entirely
+    if (budget == 1) {
+      EXPECT_EQ(l, 1u);  // pe_ skipped entirely
+    }
   }
 }
 

@@ -173,11 +173,16 @@ INSTANTIATE_TEST_SUITE_P(LossRates, AmLossSweep,
 // ---------------------------------------------------------------------
 // Software RAID: arbitrary (offset, size) extents complete, on both
 // levels, healthy and degraded.
+// Every field is four bytes wide so the struct has no padding: gtest
+// names each case by printing the raw bytes, and uninitialised padding
+// would give the same case a different name on every run.
 struct RaidCase {
   int members;
   raid::Level level;
-  bool degraded;
+  int degraded;  // 0 or 1
 };
+static_assert(sizeof(RaidCase) == 3 * sizeof(int),
+              "RaidCase must have no padding");
 
 class RaidExtents : public ::testing::TestWithParam<RaidCase> {};
 
@@ -223,12 +228,12 @@ TEST_P(RaidExtents, RandomExtentsAlwaysComplete) {
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, RaidExtents,
-    ::testing::Values(RaidCase{3, raid::Level::kRaid0, false},
-                      RaidCase{8, raid::Level::kRaid0, false},
-                      RaidCase{3, raid::Level::kRaid5, false},
-                      RaidCase{8, raid::Level::kRaid5, false},
-                      RaidCase{4, raid::Level::kRaid5, true},
-                      RaidCase{8, raid::Level::kRaid5, true}));
+    ::testing::Values(RaidCase{3, raid::Level::kRaid0, 0},
+                      RaidCase{8, raid::Level::kRaid0, 0},
+                      RaidCase{3, raid::Level::kRaid5, 0},
+                      RaidCase{8, raid::Level::kRaid5, 0},
+                      RaidCase{4, raid::Level::kRaid5, 1},
+                      RaidCase{8, raid::Level::kRaid5, 1}));
 
 // ---------------------------------------------------------------------
 // xFS coherence: after an arbitrary interleaving of reads/writes/syncs,
@@ -334,10 +339,14 @@ INSTANTIATE_TEST_SUITE_P(
 // Overlay study: the execution-dilation slowdown can never meaningfully
 // drop below 1 (the NOW cannot beat dedicated execution of the same jobs),
 // for any seed and cluster size.
+// The explicit tail field fills what would be padding, for the same
+// reason as RaidCase above.
 struct OverlayCase {
   std::uint64_t seed;
   std::uint32_t workstations;
+  std::uint32_t unused = 0;
 };
+static_assert(sizeof(OverlayCase) == 16, "OverlayCase must have no padding");
 
 class OverlayBounds : public ::testing::TestWithParam<OverlayCase> {};
 

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/presets.hpp"
@@ -12,7 +13,6 @@
 #include "proto/am_sockets.hpp"
 #include "proto/costs.hpp"
 #include "proto/nic_mux.hpp"
-#include "proto/pvm.hpp"
 #include "proto/rpc.hpp"
 #include "proto/tcp.hpp"
 #include "sim/engine.hpp"
@@ -234,6 +234,39 @@ TEST(Am, SendToCrashedNodeTriggersFailureHandler) {
   rig.engine.run();
   EXPECT_TRUE(failed);
   EXPECT_EQ(am.stats().handled, 0u);
+}
+
+TEST(Am, RestartedSenderOpensANewGeneration) {
+  // The sender crashes with a bulk message half delivered, and its
+  // retransmit timer fires while it is dead.  After the restart its next
+  // message must not be mistaken for duplicates of the old generation's
+  // fragments: the receiver has to hand it over exactly once, whole.
+  Rig rig(2);
+  AmParams params;
+  params.window = 8;
+  params.retry_timeout = 2_ms;
+  AmLayer am(*rig.mux, params);
+  const EndpointId e0 =
+      am.create_endpoint(*rig.nodes[0], AmLayer::Mode::kInterrupt);
+  const EndpointId e1 =
+      am.create_endpoint(*rig.nodes[1], AmLayer::Mode::kInterrupt);
+  std::vector<std::pair<int, std::uint32_t>> got;  // (payload, bytes)
+  am.register_handler(e1, 1, [&](const AmMessage& m) {
+    got.emplace_back(std::any_cast<int>(m.payload), m.bytes);
+  });
+  am.send(e0, e1, 1, 100'000, 1);  // 13 fragments, 8 in the window
+  // Crash as the receiver sends its first ack: the sender never hears it,
+  // and the window's 8 fragments are already on the wire.
+  while (am.stats().acks == 0 && rig.engine.step()) {
+  }
+  rig.nodes[0]->crash();
+  rig.engine.run_until(rig.engine.now() + 5 * params.retry_timeout);
+  rig.nodes[0]->reboot();
+  am.send(e0, e1, 1, 20'000, 2);  // 3 fragments, fewer than delivered
+  rig.engine.run();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].first, 2);
+  EXPECT_EQ(got[0].second, 20'000u);
 }
 
 TEST(Am, SendFromProcessBlocksOnFullWindow) {
@@ -509,143 +542,6 @@ TEST(AmSocketsTest, NearlyAnOrderOfMagnitudeFasterThanTcp) {
   EXPECT_LT(sim::to_us(am_at), 50);    // paper: ~25 us
   EXPECT_GT(sim::to_us(tcp_at), 250);  // kernel path
   EXPECT_GT(static_cast<double>(tcp_at) / static_cast<double>(am_at), 7.0);
-}
-
-// --- PVM ---------------------------------------------------------------
-
-struct PvmRig {
-  PvmRig() : rig(2), tcp(*rig.mux, proto::TcpParams{}), pvm(*rig.mux, tcp) {}
-  Rig rig;
-  TcpLayer tcp;
-  PvmLayer pvm;
-};
-
-TEST(Pvm, SendRecvByTag) {
-  PvmRig r;
-  os::Cpu& cpu0 = r.rig.nodes[0]->cpu();
-  os::Cpu& cpu1 = r.rig.nodes[1]->cpu();
-  std::vector<os::ProcessId> p0(1), p1(1);
-  int got = 0;
-  PvmTaskId t0 = kInvalidTask, t1 = kInvalidTask;
-
-  p1[0] = cpu1.spawn("rx", os::SchedClass::kBatch, [&] {
-    r.pvm.recv(t1, 7, [&](PvmMessage&& m) {
-      got = std::any_cast<int>(m.payload);
-      EXPECT_EQ(m.tag, 7);
-      EXPECT_EQ(m.source, t0);
-      cpu1.exit(p1[0]);
-    });
-  });
-  p0[0] = cpu0.spawn("tx", os::SchedClass::kBatch, [&] {
-    r.pvm.send(t0, t1, 7, 1024, 99, [&] { cpu0.exit(p0[0]); });
-  });
-  t0 = r.pvm.enroll(*r.rig.nodes[0], p0[0]);
-  t1 = r.pvm.enroll(*r.rig.nodes[1], p1[0]);
-  r.rig.engine.run();
-  EXPECT_EQ(got, 99);
-}
-
-TEST(Pvm, WildcardAndTagFiltering) {
-  PvmRig r;
-  os::Cpu& cpu0 = r.rig.nodes[0]->cpu();
-  os::Cpu& cpu1 = r.rig.nodes[1]->cpu();
-  std::vector<os::ProcessId> p0(1), p1(1);
-  PvmTaskId t0 = kInvalidTask, t1 = kInvalidTask;
-  std::vector<int> order;
-
-  p1[0] = cpu1.spawn("rx", os::SchedClass::kBatch, [&] {
-    // Ask for tag 2 first even though tag 1 arrives first, then wildcard.
-    r.pvm.recv(t1, 2, [&](PvmMessage&& m) {
-      order.push_back(m.tag);
-      r.pvm.recv(t1, -1, [&](PvmMessage&& m2) {
-        order.push_back(m2.tag);
-        cpu1.exit(p1[0]);
-      });
-    });
-  });
-  p0[0] = cpu0.spawn("tx", os::SchedClass::kBatch, [&] {
-    r.pvm.send(t0, t1, 1, 64, {}, [&] {
-      r.pvm.send(t0, t1, 2, 64, {}, [&] { cpu0.exit(p0[0]); });
-    });
-  });
-  t0 = r.pvm.enroll(*r.rig.nodes[0], p0[0]);
-  t1 = r.pvm.enroll(*r.rig.nodes[1], p1[0]);
-  r.rig.engine.run();
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 2);  // tag filter skipped the tag-1 message
-  EXPECT_EQ(order[1], 1);  // wildcard then drained it
-}
-
-TEST(Pvm, DaemonBuffersWhileTaskDescheduled) {
-  // The defining PVM property: the daemon accepts messages even though the
-  // receiving task is off the CPU; the task reacts when next scheduled.
-  PvmRig r;
-  os::Cpu& cpu1 = r.rig.nodes[1]->cpu();
-  std::vector<os::ProcessId> p1(1), hog(1);
-  PvmTaskId t0, t1;
-  // A compute hog monopolizes node 1.
-  hog[0] = cpu1.spawn("hog", os::SchedClass::kBatch, [&] {
-    cpu1.compute(hog[0], 2 * sim::kSecond, [&] { cpu1.exit(hog[0]); });
-  });
-  sim::SimTime received_at = -1;
-  p1[0] = cpu1.spawn("rx", os::SchedClass::kBatch, [&] {
-    r.pvm.recv(t1, 1, [&](PvmMessage&&) {
-      received_at = r.rig.engine.now();
-      cpu1.exit(p1[0]);
-    });
-  });
-  os::Cpu& cpu0 = r.rig.nodes[0]->cpu();
-  std::vector<os::ProcessId> p0(1);
-  p0[0] = cpu0.spawn("tx", os::SchedClass::kBatch, [&] {
-    r.pvm.send(t0, t1, 1, 512, {}, [&] { cpu0.exit(p0[0]); });
-  });
-  t0 = r.pvm.enroll(*r.rig.nodes[0], p0[0]);
-  t1 = r.pvm.enroll(*r.rig.nodes[1], p1[0]);
-  r.rig.engine.run();
-  // Delivery happened despite the hog; the wake waited out RR quanta but
-  // not the hog's full 2 s.
-  EXPECT_GT(received_at, 0);
-  EXPECT_LT(received_at, 1 * sim::kSecond);
-  EXPECT_EQ(r.pvm.stats().delivered, 1u);
-}
-
-TEST(Pvm, OrderOfMagnitudeSlowerThanActiveMessages) {
-  // The Table 4 story at message granularity: the same one-way small
-  // message costs ~an order of magnitude more through the daemon path.
-  PvmRig r;
-  os::Cpu& cpu0 = r.rig.nodes[0]->cpu();
-  os::Cpu& cpu1 = r.rig.nodes[1]->cpu();
-  std::vector<os::ProcessId> p0(1), p1(1);
-  PvmTaskId t0, t1;
-  sim::SimTime pvm_at = -1;
-  p1[0] = cpu1.spawn("rx", os::SchedClass::kBatch, [&] {
-    r.pvm.recv(t1, 1, [&](PvmMessage&&) {
-      pvm_at = r.rig.engine.now();
-      cpu1.exit(p1[0]);
-    });
-  });
-  p0[0] = cpu0.spawn("tx", os::SchedClass::kBatch, [&] {
-    r.pvm.send(t0, t1, 1, 64, {}, [&] { cpu0.exit(p0[0]); });
-  });
-  t0 = r.pvm.enroll(*r.rig.nodes[0], p0[0]);
-  t1 = r.pvm.enroll(*r.rig.nodes[1], p1[0]);
-  r.rig.engine.run();
-
-  Rig rig2(2);
-  AmLayer am(*rig2.mux, AmParams{});
-  const auto e0 =
-      am.create_endpoint(*rig2.nodes[0], AmLayer::Mode::kInterrupt);
-  const auto e1 =
-      am.create_endpoint(*rig2.nodes[1], AmLayer::Mode::kInterrupt);
-  sim::SimTime am_at = -1;
-  am.register_handler(e1, 1,
-                      [&](const AmMessage&) { am_at = rig2.engine.now(); });
-  am.send(e0, e1, 1, 64, {});
-  rig2.engine.run();
-
-  EXPECT_GT(pvm_at, 0);
-  EXPECT_GT(am_at, 0);
-  EXPECT_GT(static_cast<double>(pvm_at) / static_cast<double>(am_at), 8.0);
 }
 
 TEST(Rpc, CallReturnsReply) {

@@ -198,6 +198,28 @@ TEST(Raid, ReconstructionRestoresFullOperation) {
   EXPECT_EQ(raid.stats().degraded_reads, degraded_before);
 }
 
+TEST(Raid, RebuildCutOffAtTeardownFreesItsState) {
+  // A rebuild still running when the simulation is torn down must not
+  // keep itself alive: its closure, and the completion callback it holds,
+  // go away with the pending events.
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = token;
+  {
+    Rig rig(6);
+    RaidParams p;
+    p.level = Level::kRaid5;
+    p.stripe_unit = 32 * 1024;
+    SoftwareRaid raid(*rig.rpc, rig.members(1, 4), p);
+    rig.nodes[2]->crash();
+    raid.member_failed(2);
+    raid.reconstruct(2, *rig.nodes[5], [token = std::move(token)] {},
+                     /*rebuild_bytes_per_member=*/512 * 1024);
+    rig.engine.run_until(20_ms);
+    ASSERT_TRUE(raid.degraded());  // still rebuilding
+  }
+  EXPECT_TRUE(watch.expired());
+}
+
 TEST(StripeGroups, SegmentSizedWritesAreFullStripePerGroup) {
   Rig rig(13);  // node 0 drives, 1-12 = three groups of four
   RaidParams p;

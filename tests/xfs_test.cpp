@@ -13,7 +13,6 @@
 #include "raid/raid.hpp"
 #include "xfs/log.hpp"
 #include "xfs/central_server.hpp"
-#include "xfs/tape.hpp"
 #include "xfs/xfs.hpp"
 
 namespace now::xfs {
@@ -118,64 +117,6 @@ TEST(LogStoreTest, CleanerCompactsColdSegments) {
     EXPECT_TRUE(rig.log->in_log(b)) << b;
   }
   EXPECT_GT(rig.log->stats().live_blocks_copied, 0u);
-}
-
-TEST(TapeTest, ArchivedSegmentReadsPayTheRobot) {
-  Rig rig(4, small_params());
-  TapeArchive tape(rig.engine);
-  rig.log->set_tape(&tape);
-  rig.log->append_segment(0, {1, 2, 3, 4}, [] {});
-  rig.engine.run();
-  bool archived = false;
-  rig.log->archive_segment(0, 0, [&] { archived = true; });
-  rig.engine.run();
-  EXPECT_TRUE(archived);
-  EXPECT_TRUE(rig.log->on_tape(2));
-  EXPECT_EQ(tape.stats().mounts, 1u);
-
-  // Let the drive dismount before the cold read.
-  rig.engine.run_until(rig.engine.now() + 10 * sim::kMinute);
-  const sim::SimTime t0 = rig.engine.now();
-  sim::SimTime read_at = -1;
-  rig.log->read_block(1, 2, [&] { read_at = rig.engine.now(); });
-  rig.engine.run();
-  // A fresh mount: tens of seconds, not milliseconds.
-  EXPECT_GT(sim::to_sec(read_at - t0), 10.0);
-  EXPECT_EQ(rig.log->stats().tape_reads, 1u);
-}
-
-TEST(TapeTest, MountedDriveServesBatchedReadsCheaply) {
-  Rig rig(4, small_params());
-  TapeArchive tape(rig.engine);
-  rig.log->set_tape(&tape);
-  rig.log->append_segment(0, {1, 2, 3, 4}, [] {});
-  rig.engine.run();
-  rig.log->archive_segment(0, 0, [] {});
-  rig.engine.run();
-  rig.engine.run_until(rig.engine.now() + 10 * sim::kMinute);  // dismount
-  // First read mounts; the next three ride the mounted drive.
-  int done = 0;
-  for (const BlockId b : {1, 2, 3, 4}) {
-    rig.log->read_block(1, b, [&] { ++done; });
-  }
-  rig.engine.run();
-  EXPECT_EQ(done, 4);
-  EXPECT_EQ(tape.stats().mounts, 2u);  // one for archive, one for reads
-}
-
-TEST(TapeTest, RewriteBringsBlockBackOffTape) {
-  Rig rig(4, small_params());
-  TapeArchive tape(rig.engine);
-  rig.log->set_tape(&tape);
-  rig.log->append_segment(0, {1, 2, 3, 4}, [] {});
-  rig.engine.run();
-  rig.log->archive_segment(0, 0, [] {});
-  rig.engine.run();
-  // A fresh append of block 2 supersedes the tape copy.
-  rig.log->append_segment(0, {2}, [] {});
-  rig.engine.run();
-  EXPECT_FALSE(rig.log->on_tape(2));
-  EXPECT_TRUE(rig.log->on_tape(1));
 }
 
 TEST(CentralServerTest, ReadsEscalateLocalServerDisk) {
