@@ -221,9 +221,11 @@ int main(int argc, char** argv) {
         p.nodes = n;
         p.oversub = o;
         p.cross = cross;
-        p.name = "n" + std::to_string(n) + "_o" +
-                 std::to_string(static_cast<int>(o)) +
-                 (cross ? "_cross" : "_local");
+        p.name = std::string("n")
+                     .append(std::to_string(n))
+                     .append("_o")
+                     .append(std::to_string(static_cast<int>(o)))
+                     .append(cross ? "_cross" : "_local");
         names.push_back(p.name);
         points.push_back(std::move(p));
       }

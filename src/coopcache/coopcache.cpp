@@ -66,52 +66,72 @@ CoopCacheSim::CoopCacheSim(CoopCacheConfig config)
 }
 
 bool CoopCacheSim::directory_consistent() const {
-  // Every directory entry must be backed by the cache it names...
-  for (const auto& [block, clients] : directory_) {
-    if (clients.empty()) return false;  // empty sets should be erased
+  // Every directory entry must be backed by the caches it names...
+  bool ok = true;
+  std::size_t directory_total = 0;
+  directory_.for_each([&](std::uint64_t block, std::uint32_t list) {
+    const std::vector<std::uint32_t>& clients = holder_lists_[list];
+    if (clients.empty()) ok = false;  // empty lists should be unindexed
     for (const std::uint32_t c : clients) {
-      if (!client_caches_[c].contains(block)) return false;
+      if (!client_caches_[c].contains(block)) ok = false;
     }
-  }
+    directory_total += clients.size();
+  });
   // ...and every cached block must appear in the directory.
   std::size_t cached_total = 0;
   for (const auto& cache : client_caches_) cached_total += cache.size();
-  std::size_t directory_total = 0;
-  for (const auto& [block, clients] : directory_) {
-    directory_total += clients.size();
-  }
-  return cached_total == directory_total;
+  return ok && cached_total == directory_total;
 }
 
 std::size_t CoopCacheSim::holders(std::uint64_t block) const {
-  const auto it = directory_.find(block);
-  return it == directory_.end() ? 0 : it->second.size();
+  const std::uint32_t* list = directory_.find(block);
+  return list == nullptr ? 0 : holder_lists_[*list].size();
 }
 
 void CoopCacheSim::directory_add(std::uint64_t block, std::uint32_t client) {
-  directory_[block].insert(client);
+  const std::uint32_t* list = directory_.find(block);
+  if (list == nullptr) {
+    if (free_lists_.empty()) {
+      free_lists_.push_back(static_cast<std::uint32_t>(holder_lists_.size()));
+      holder_lists_.emplace_back();
+    }
+    list = &directory_.get_or_insert(block, free_lists_.back());
+    free_lists_.pop_back();
+  }
+  std::vector<std::uint32_t>& clients = holder_lists_[*list];
+  if (std::find(clients.begin(), clients.end(), client) == clients.end()) {
+    clients.push_back(client);
+  }
 }
 
 void CoopCacheSim::directory_remove(std::uint64_t block,
                                     std::uint32_t client) {
-  const auto it = directory_.find(block);
-  if (it == directory_.end()) return;
-  it->second.erase(client);
-  if (it->second.empty()) directory_.erase(it);
+  const std::uint32_t* found = directory_.find(block);
+  if (found == nullptr) return;
+  const std::uint32_t list = *found;
+  std::vector<std::uint32_t>& clients = holder_lists_[list];
+  const auto it = std::find(clients.begin(), clients.end(), client);
+  if (it == clients.end()) return;
+  *it = clients.back();
+  clients.pop_back();
+  if (clients.empty()) {
+    directory_.erase(block);
+    free_lists_.push_back(list);
+  }
 }
 
 std::int64_t CoopCacheSim::find_holder(std::uint64_t block,
                                        std::uint32_t except) const {
-  const auto it = directory_.find(block);
-  if (it == directory_.end()) return -1;
-  // Deterministic choice: the smallest id other than the requester — but
-  // with rack awareness a same-rack holder always beats a cross-rack one
-  // (the manager knows the topology; forwarding from the next rack over
-  // costs two extra switch crossings).
+  const std::uint32_t* list = directory_.find(block);
+  if (list == nullptr) return -1;
+  // Deterministic choice, whatever the list's order: the smallest id other
+  // than the requester — but with rack awareness a same-rack holder always
+  // beats a cross-rack one (the manager knows the topology; forwarding
+  // from the next rack over costs two extra switch crossings).
   const std::uint32_t rs = config_.rack_size;
   std::int64_t best = -1;
   bool best_local = false;
-  for (const std::uint32_t c : it->second) {
+  for (const std::uint32_t c : holder_lists_[*list]) {
     if (c == except) continue;
     const bool local = rs > 0 && c / rs == except / rs;
     if (best < 0 || (local && !best_local) ||
@@ -134,11 +154,8 @@ void CoopCacheSim::access(std::uint32_t client, std::uint64_t block,
 }
 
 void CoopCacheSim::insert_local(std::uint32_t client, std::uint64_t block) {
+  if (client_caches_[client].touch(block)) return;
   std::uint64_t victim = 0;
-  if (client_caches_[client].contains(block)) {
-    client_caches_[client].touch(block);
-    return;
-  }
   const bool evicted = client_caches_[client].insert(block, &victim);
   directory_add(block, client);
   if (evicted) handle_eviction(client, victim);
@@ -159,7 +176,7 @@ void CoopCacheSim::handle_eviction(std::uint32_t client,
     }
     case Policy::kNChance: {
       if (holders(victim) > 0) break;  // duplicate: drop quietly
-      std::uint32_t& count = recirculations_[victim];
+      std::uint32_t& count = recirculations_.get_or_insert(victim, 0);
       if (count >= config_.nchance_limit) {
         recirculations_.erase(victim);
         break;  // circled enough; let it die

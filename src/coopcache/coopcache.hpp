@@ -19,10 +19,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "coopcache/flat_index.hpp"
 #include "coopcache/lru.hpp"
 #include "obs/metrics.hpp"
 #include "sim/random.hpp"
@@ -139,11 +138,15 @@ class CoopCacheSim {
   /// Centrally coordinated global cache: one LRU over most of the
   /// aggregate client memory (kCentrallyCoordinated only).
   LruCache coordinated_;
-  /// Directory: block -> clients holding it in their local caches.
-  std::unordered_map<std::uint64_t, std::unordered_set<std::uint32_t>>
-      directory_;
+  /// Directory: block -> index into holder_lists_, the clients holding it
+  /// in their local caches (unordered; never empty while indexed).  Lists
+  /// of blocks that lose their last holder go on free_lists_ and are
+  /// reused with their storage.
+  FlatIndex directory_;
+  std::vector<std::vector<std::uint32_t>> holder_lists_;
+  std::vector<std::uint32_t> free_lists_;
   /// N-chance: times each at-large singlet has been forwarded.
-  std::unordered_map<std::uint64_t, std::uint32_t> recirculations_;
+  FlatIndex recirculations_;
   CoopCacheResults results_;
   obs::Counter* obs_reads_;
   obs::Counter* obs_local_hits_;

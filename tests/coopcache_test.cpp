@@ -213,5 +213,99 @@ TEST(CoopCache, DeterministicForSeed) {
   EXPECT_EQ(a.results().remote_client_hits, b.results().remote_client_hits);
 }
 
+// Golden counters: each policy replays one seeded trace, and every
+// CoopCacheResults counter, plus the directory's final holder count over
+// the shared blocks, must equal the value recorded from the node-based
+// (std::list / unordered_map) implementation the flat storage replaced.
+// Eviction order, find_holder's choice and N-Chance's RNG draws all feed
+// these numbers, so any drift in them shows here.
+struct GoldenCase {
+  Policy policy;
+  std::uint32_t clients;
+  std::uint32_t rack_size;
+  CoopCacheResults expect;
+  /// Sum of holders() over the shared pool's blocks at the end.
+  std::size_t held;
+};
+
+void replay_golden(const GoldenCase& g) {
+  trace::FsWorkloadParams wp;
+  wp.clients = g.clients;
+  wp.accesses_per_client = 3'000;
+  wp.shared_blocks = 2'048;
+  wp.private_blocks = 512;
+  wp.seed = 7;
+  const auto accesses = trace::generate_fs_trace(wp);
+
+  CoopCacheConfig cfg;
+  cfg.clients = g.clients;
+  cfg.client_cache_blocks = 128;
+  cfg.server_cache_blocks = 1'024;
+  cfg.policy = g.policy;
+  cfg.rack_size = g.rack_size;
+  if (g.rack_size > 0) {
+    cfg.costs.remote_client_cross_rack = sim::from_us(2'400);
+  }
+  cfg.seed = 11;
+  CoopCacheSim sim(cfg);
+  const std::size_t warm = accesses.size() / 4;
+  for (std::size_t i = 0; i < accesses.size(); ++i) {
+    if (i == warm) sim.reset_stats();
+    const trace::FsAccess& a = accesses[i];
+    sim.access(a.client, a.block, a.is_write);
+    // The accessing client now holds the block (caches are 128 blocks, so
+    // no forwarding chain can push out the MRU entry).
+    ASSERT_GE(sim.holders(a.block), 1u) << "at access " << i;
+    if (i % 997 == 0) {
+      ASSERT_TRUE(sim.directory_consistent()) << "at access " << i;
+    }
+  }
+  ASSERT_TRUE(sim.directory_consistent());
+  std::size_t held = 0;
+  for (std::uint64_t b = 0; b < 2'048; ++b) held += sim.holders(b);
+
+  const CoopCacheResults& r = sim.results();
+  const CoopCacheResults& e = g.expect;
+  EXPECT_EQ(r.reads, e.reads);
+  EXPECT_EQ(r.writes, e.writes);
+  EXPECT_EQ(r.local_hits, e.local_hits);
+  EXPECT_EQ(r.remote_client_hits, e.remote_client_hits);
+  EXPECT_EQ(r.rack_local_peer_hits, e.rack_local_peer_hits);
+  EXPECT_EQ(r.server_mem_hits, e.server_mem_hits);
+  EXPECT_EQ(r.disk_reads, e.disk_reads);
+  EXPECT_EQ(held, g.held);
+}
+
+TEST(CoopCacheGolden, ClientServer) {
+  // {reads, writes, local, remote, rack-local remote, server mem, disk}
+  replay_golden({Policy::kClientServer, 16, 0,
+                 {6205, 815, 2760, 0, 0, 1529, 1916},
+                 663});
+}
+
+TEST(CoopCacheGolden, GreedyForwarding) {
+  replay_golden({Policy::kGreedyForwarding, 16, 0,
+                 {6205, 815, 2764, 529, 0, 1211, 1701},
+                 693});
+}
+
+TEST(CoopCacheGolden, CentrallyCoordinated) {
+  replay_golden({Policy::kCentrallyCoordinated, 16, 0,
+                 {6205, 815, 1106, 3422, 0, 61, 1616},
+                 113});
+}
+
+TEST(CoopCacheGolden, NChance) {
+  replay_golden({Policy::kNChance, 16, 0,
+                 {6205, 815, 2510, 2051, 0, 8, 1636},
+                 708});
+}
+
+TEST(CoopCacheGolden, NChanceRackAware) {
+  replay_golden({Policy::kNChance, 64, 8,
+                 {42856, 5924, 17041, 17318, 2680, 6, 8491},
+                 1830});
+}
+
 }  // namespace
 }  // namespace now::coopcache

@@ -69,7 +69,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EngineDeterminism,
                          ::testing::Values(1, 7, 42, 1234, 99999));
 
 // ---------------------------------------------------------------------
-// LRU vs a naive reference model under random operation streams.
+// LRU vs a naive reference model under random operation streams.  Keys
+// come from a pool spread over the whole uint64 range (0 and ~0 included)
+// that is larger than the capacity, so the index grows several times and
+// its probe runs wrap around the slot array.  The stream has four phases:
+// insert-heavy, mixed, erase-heavy (backward-shift erase), then clear()
+// and mixed again on the reused cache.
 class LruModelCheck
     : public ::testing::TestWithParam<std::tuple<std::size_t, int>> {};
 
@@ -79,55 +84,79 @@ TEST_P(LruModelCheck, MatchesReferenceModel) {
   std::vector<std::uint64_t> model;  // front = MRU
   sim::Pcg32 rng(static_cast<std::uint64_t>(seed));
 
-  for (int op = 0; op < 4000; ++op) {
-    const std::uint64_t key = rng.next_below(24);
+  std::vector<std::uint64_t> keys = {0, ~0ull, 1, ~0ull - 1, 1ull << 63};
+  const std::size_t key_space = std::max<std::size_t>(24, capacity * 3 / 2);
+  while (keys.size() < key_space) {
+    const std::uint64_t k =
+        (std::uint64_t{rng.next_u32()} << 32) | rng.next_u32();
+    if (std::find(keys.begin(), keys.end(), k) == keys.end()) {
+      keys.push_back(k);
+    }
+  }
+
+  // Per phase, the chance out of 10 of an insert and of a touch; the rest
+  // are erases.
+  constexpr std::uint32_t kInsert[] = {7, 4, 3, 4};
+  constexpr std::uint32_t kTouch[] = {2, 3, 1, 3};
+  // A multiple of 4, so each phase gets a quarter of the ops.
+  const int ops = static_cast<int>(std::max<std::size_t>(4000, capacity * 8));
+  for (int op = 0; op < ops; ++op) {
+    const int phase = op * 4 / ops;
+    if (op == ops * 3 / 4) {
+      cache.clear();
+      model.clear();
+      ASSERT_EQ(cache.size(), 0u);
+    }
+    const std::uint64_t key =
+        keys[rng.next_below(static_cast<std::uint32_t>(keys.size()))];
     const auto mit = std::find(model.begin(), model.end(), key);
-    switch (rng.next_below(3)) {
-      case 0: {  // insert
-        std::uint64_t victim = 0;
-        const bool evicted = cache.insert(key, &victim);
-        if (mit != model.end()) {
-          model.erase(mit);
-          model.insert(model.begin(), key);
-          EXPECT_FALSE(evicted);
+    const std::uint32_t dice = rng.next_below(10);
+    if (dice < kInsert[phase]) {
+      std::uint64_t victim = 0;
+      const bool evicted = cache.insert(key, &victim);
+      if (mit != model.end()) {
+        model.erase(mit);
+        model.insert(model.begin(), key);
+        EXPECT_FALSE(evicted);
+      } else {
+        if (model.size() >= capacity && capacity > 0) {
+          EXPECT_TRUE(evicted);
+          EXPECT_EQ(victim, model.back());
+          model.pop_back();
         } else {
-          if (model.size() >= capacity && capacity > 0) {
-            EXPECT_TRUE(evicted);
-            EXPECT_EQ(victim, model.back());
-            model.pop_back();
-          } else {
-            EXPECT_FALSE(evicted);
-          }
-          if (capacity > 0) model.insert(model.begin(), key);
+          EXPECT_FALSE(evicted);
         }
-        break;
+        if (capacity > 0) model.insert(model.begin(), key);
       }
-      case 1: {  // touch
-        const bool hit = cache.touch(key);
-        EXPECT_EQ(hit, mit != model.end());
-        if (mit != model.end()) {
-          model.erase(mit);
-          model.insert(model.begin(), key);
-        }
-        break;
+    } else if (dice < kInsert[phase] + kTouch[phase]) {
+      const bool hit = cache.touch(key);
+      EXPECT_EQ(hit, mit != model.end());
+      if (mit != model.end()) {
+        model.erase(mit);
+        model.insert(model.begin(), key);
       }
-      case 2: {  // erase
-        const bool had = cache.erase(key);
-        EXPECT_EQ(had, mit != model.end());
-        if (mit != model.end()) model.erase(mit);
-        break;
-      }
+    } else {
+      const bool had = cache.erase(key);
+      EXPECT_EQ(had, mit != model.end());
+      if (mit != model.end()) model.erase(mit);
     }
     ASSERT_EQ(cache.size(), model.size());
-    for (const std::uint64_t k : model) {
-      ASSERT_TRUE(cache.contains(k)) << k;
+    if (!model.empty()) {
+      ASSERT_EQ(cache.lru(), model.back()) << "op " << op;
+    }
+    // The full membership sweep is O(size); large caches get it every
+    // 64th op.
+    if (capacity <= 16 || op % 64 == 0 || op == ops - 1) {
+      for (const std::uint64_t k : model) {
+        ASSERT_TRUE(cache.contains(k)) << k;
+      }
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     CapacityAndSeed, LruModelCheck,
-    ::testing::Combine(::testing::Values<std::size_t>(1, 3, 8, 16),
+    ::testing::Combine(::testing::Values<std::size_t>(1, 3, 8, 16, 257, 4096),
                        ::testing::Values(1, 2, 3)));
 
 // ---------------------------------------------------------------------

@@ -186,6 +186,32 @@ TEST(TraceIo, FsTraceRoundTrips) {
   }
 }
 
+// The writers' exact bytes: times at 17 significant digits (printf's
+// %.17g, so 3 ns is 0.0030000000000000001 us and large times keep every
+// digit), ids as plain integers, the full uint64 block range.
+TEST(TraceIo, WrittenBytesArePinned) {
+  const std::vector<FsAccess> fs = {
+      {0, 0, 0, false},
+      {3, 41, ~std::uint64_t{0}, true},
+      {1'500'000'000, 7, 12'345, false},
+      {123'456'789'012'345'678, 2, 1, true}};
+  std::ostringstream out;
+  write_fs_trace(out, fs);
+  EXPECT_EQ(out.str(),
+            "# fs trace: <time_us> <client> <block> <r|w>\n"
+            "0 0 0 r\n"
+            "0.0030000000000000001 41 18446744073709551615 w\n"
+            "1500000 7 12345 r\n"
+            "123456789012345.69 2 1 w\n");
+
+  const std::vector<ParallelJob> jobs = {{3, 16, 2'000'000'001, true}};
+  std::ostringstream pj;
+  write_parallel_jobs(pj, jobs);
+  EXPECT_EQ(pj.str(),
+            "# parallel jobs: <arrival_us> <width> <work_us> <p|d>\n"
+            "0.0030000000000000001 16 2000000.0009999999 d\n");
+}
+
 TEST(TraceIo, UsageTraceRoundTrips) {
   UsageParams p;
   p.workstations = 6;
