@@ -94,18 +94,15 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
         // exactly one edge hop) runs inside each epoch without a barrier.
         pc.align = config_.building.topo.nodes_per_rack;
       }
-      // Workers must resolve obs::metrics()/obs::tracer()/NOW_LOG to the
+      // Workers must resolve obs::metrics()/obs::tracer() to the
       // same instances as the constructing thread (which may be inside a
       // sweep's ScopedRunContext), so capture the ambient bindings now and
       // install them on every lane.
       obs::MetricsRegistry* m = &obs::metrics();
       obs::Tracer* tr = &obs::tracer();
-      sim::LogConfig* lg =
-          config_.run != nullptr ? &config_.run->log : nullptr;
-      pc.worker_init = [m, tr, lg] {
+      pc.worker_init = [m, tr] {
         obs::set_thread_metrics(m);
         obs::set_thread_tracer(tr);
-        if (lg != nullptr) sim::set_thread_log_config(lg);
       };
       pe_ = std::make_unique<sim::ParallelEngine>(engine_, pc);
     }

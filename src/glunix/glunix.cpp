@@ -4,7 +4,6 @@
 #include <cassert>
 #include <memory>
 
-#include "sim/log.hpp"
 
 namespace now::glunix {
 
@@ -234,9 +233,6 @@ void Glunix::declare_down(std::size_t idx) {
     obs_idle_nodes_->set(static_cast<double>(idle_node_count()));
   }
   obs::tracer().instant(ni.node->id(), obs_track_, "node_down");
-  sim::LogStream(sim::LogLevel::kInfo, engine().now(), "glunix")
-      << "node " << ni.node->id() << " declared down ("
-      << params_.heartbeat_misses << " missed heartbeats)";
   if (on_down_) on_down_(ni.node->id());
 }
 

@@ -13,7 +13,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
-#include "sim/exec_domain.hpp"
+#include "sim/parallel_engine.hpp"
 #include "sim/spinlock.hpp"
 #include "sim/stats.hpp"
 
@@ -86,11 +86,11 @@ class Network {
   /// Must be called after every node is attached and before the run starts;
   /// backends pre-size their per-node state here so no container grows once
   /// lanes are live.
-  void set_domain(sim::ExecDomain* domain) {
+  void set_domain(sim::ParallelEngine* domain) {
     domain_ = domain;
     on_domain_set();
   }
-  sim::ExecDomain* domain() { return domain_; }
+  sim::ParallelEngine* domain() { return domain_; }
 
   /// The engine that `node`'s events run on: its partition lane when a
   /// domain is installed, the cluster engine otherwise.  Every site that
@@ -136,7 +136,7 @@ class Network {
   std::size_t port_count() const { return ports_.size(); }
 
   sim::Engine& engine_;
-  sim::ExecDomain* domain_ = nullptr;
+  sim::ParallelEngine* domain_ = nullptr;
   NetworkStats stats_;
   // Guards stats_: sends mutate it from source lanes, deliveries from
   // destination lanes.  Uncontended in serial runs.

@@ -11,8 +11,7 @@
 // clock (set_clock), never the wall clock, so traces are as deterministic as
 // the simulation itself.  Most instrumentation sites use the explicit
 // complete(node, track, name, start, end) form because interesting intervals
-// (message lifetimes, page-fault service, migrations) span many callbacks;
-// the RAII Span covers the lexically scoped cases.
+// (message lifetimes, page-fault service, migrations) span many callbacks.
 //
 // Everything is a no-op until enable() is called, and each site guards on
 // enabled() before doing any string work, so an untraced run pays one load
@@ -26,7 +25,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "sim/log.hpp"
 #include "sim/spinlock.hpp"
 #include "sim/time.hpp"
 
@@ -51,7 +49,7 @@ class Tracer {
   bool enabled() const { return recording_ && obs::enabled(); }
   void clear();
 
-  /// Binds the simulated clock used by instant()/Span.  The explicit-time
+  /// Binds the simulated clock used by instant().  The explicit-time
   /// overloads work without one.
   void set_clock(const sim::Engine* engine) { clock_ = engine; }
   sim::SimTime clock_now() const;
@@ -116,43 +114,5 @@ Tracer& tracer();
 /// process default) and returns the previous override.  The caller owns
 /// `t`'s lifetime.
 Tracer* set_thread_tracer(Tracer* t);
-
-/// Lexically scoped span on the process-wide tracer, stamped with the bound
-/// simulated clock.  Nest freely; Perfetto renders the nesting.
-class Span {
- public:
-  Span(std::uint32_t node, TrackId track, std::string_view name)
-      : node_(node), track_(track) {
-    if (tracer().enabled()) {
-      open_ = true;
-      start_ = tracer().clock_now();
-      name_ = name;
-    }
-  }
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-  ~Span() { end(); }
-
-  /// Closes the span early (idempotent).
-  void end() {
-    if (!open_) return;
-    open_ = false;
-    tracer().complete(node_, track_, name_, start_, tracer().clock_now());
-  }
-
- private:
-  std::uint32_t node_;
-  TrackId track_;
-  bool open_ = false;
-  sim::SimTime start_ = 0;
-  std::string name_;
-};
-
-/// Mirrors sim::log lines at or above `min_level` into the tracer as instant
-/// events (track = the log component) while still printing them to stderr —
-/// the "obs sink" behind src/sim/log.  Call stop_log_mirror() to restore the
-/// plain stderr sink.
-void mirror_logs_to_trace(sim::LogLevel min_level = sim::LogLevel::kInfo);
-void stop_log_mirror();
 
 }  // namespace now::obs

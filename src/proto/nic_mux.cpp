@@ -32,43 +32,10 @@ sim::SimTime NicMux::reserve_stack(net::NodeId id, sim::Duration cpu_time) {
   return stack_busy_until_[id];
 }
 
-void NicMux::require_admission(std::uint64_t expected_key) {
-  enforce_admission_ = true;
-  expected_key_ = expected_key;
-  admitted_.assign(nodes_.size(), false);
-}
-
-bool NicMux::admit(net::NodeId node_id, std::uint64_t boot_key) {
-  if (!enforce_admission_) return true;
-  if (node_id >= nodes_.size() || nodes_[node_id] == nullptr) return false;
-  if (boot_key != expected_key_) return false;
-  if (node_id >= admitted_.size()) admitted_.resize(node_id + 1, false);
-  admitted_[node_id] = true;
-  return true;
-}
-
-void NicMux::expel(net::NodeId node_id) {
-  if (node_id < admitted_.size()) admitted_[node_id] = false;
-}
-
-bool NicMux::admitted(net::NodeId node_id) const {
-  if (!enforce_admission_) return true;
-  return node_id < admitted_.size() && admitted_[node_id];
-}
-
-bool NicMux::carried(net::NodeId node_id) const {
-  return !enforce_admission_ || admitted(node_id);
-}
-
 void NicMux::send(net::Packet pkt) {
   const os::Node* src = node(pkt.src);
   assert(src != nullptr && "send from unattached node");
   if (!src->alive()) return;  // a dead workstation sends nothing
-  if (!carried(pkt.src) || !carried(pkt.dst)) {
-    // Unattested machine: the interface stays shut.
-    rejected_packets_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
   network_.send(std::move(pkt));
 }
 
@@ -77,10 +44,6 @@ void NicMux::on_delivery(net::Packet&& pkt) {
   assert(dst != nullptr);
   network_.release_rx(pkt.dst, pkt.size_bytes);
   if (!dst->alive()) return;  // NIC is deaf while crashed
-  if (!carried(pkt.src) || !carried(pkt.dst)) {
-    rejected_packets_.fetch_add(1, std::memory_order_relaxed);  // expelled
-    return;
-  }
   assert(pkt.tag < layers_.size() && "packet for unregistered layer");
   layers_[pkt.tag](std::move(pkt));
 }

@@ -103,7 +103,7 @@ std::optional<std::string_view> LineCursor::next() {
 // --- FsTraceCursor -------------------------------------------------------
 
 FsTraceCursor::FsTraceCursor(std::istream& in, CursorOptions opt)
-    : lines_(in, opt.window_bytes), opt_(opt) {}
+    : lines_(in, opt.window_bytes) {}
 
 std::optional<trace::FsAccess> FsTraceCursor::next() {
   const auto line = lines_.next();
@@ -119,7 +119,7 @@ std::optional<trace::FsAccess> FsTraceCursor::next() {
   }
   a.at = sim::from_us(time_us);
   a.is_write = f[3][0] == 'w';
-  if (opt_.enforce_monotonic && records_ > 0 && a.at < last_) {
+  if (records_ > 0 && a.at < last_) {
     bad_line("out-of-order timestamp", lines_.line_number());
   }
   last_ = a.at;
@@ -177,7 +177,7 @@ bool nfs_op_is_data(NfsOp op) {
 }
 
 NfsTraceCursor::NfsTraceCursor(std::istream& in, CursorOptions opt)
-    : lines_(in, opt.window_bytes), opt_(opt) {}
+    : lines_(in, opt.window_bytes) {}
 
 std::optional<NfsRecord> NfsTraceCursor::next() {
   const auto line = lines_.next();
@@ -213,7 +213,7 @@ std::optional<NfsRecord> NfsTraceCursor::next() {
   r.client = client.first->second;
   const auto fh = fhs_.emplace(std::string(f[3]), fhs_.size());
   r.fh = fh.first->second;
-  if (opt_.enforce_monotonic && records_ > 0 && r.at < last_) {
+  if (records_ > 0 && r.at < last_) {
     bad_line("out-of-order timestamp", lines_.line_number());
   }
   last_ = r.at;
@@ -245,7 +245,7 @@ std::optional<trace::FsAccess> NfsFsCursor::next() {
 // --- ParallelJobCursor / UsageIntervalCursor -----------------------------
 
 ParallelJobCursor::ParallelJobCursor(std::istream& in, CursorOptions opt)
-    : lines_(in, opt.window_bytes), opt_(opt) {}
+    : lines_(in, opt.window_bytes) {}
 
 std::optional<trace::ParallelJob> ParallelJobCursor::next() {
   const auto line = lines_.next();
@@ -262,7 +262,7 @@ std::optional<trace::ParallelJob> ParallelJobCursor::next() {
   j.arrival = sim::from_us(arrival_us);
   j.work = sim::from_us(work_us);
   j.development = f[3][0] == 'd';
-  if (opt_.enforce_monotonic && j.arrival < last_) {
+  if (j.arrival < last_) {
     bad_line("out-of-order timestamp", lines_.line_number());
   }
   last_ = j.arrival;

@@ -105,8 +105,6 @@ class LineCursor {
 /// Options shared by the record cursors.
 struct CursorOptions {
   std::size_t window_bytes = LineCursor::kDefaultWindow;
-  /// Reject records whose timestamp precedes the previous record's.
-  bool enforce_monotonic = true;
 };
 
 /// Pull interface for a stream of file-system accesses — what every replay
@@ -131,7 +129,6 @@ class FsTraceCursor : public TraceCursor {
 
  private:
   LineCursor lines_;
-  CursorOptions opt_;
   sim::SimTime last_ = 0;
   std::uint64_t records_ = 0;
 };
@@ -193,7 +190,6 @@ class NfsTraceCursor {
 
  private:
   LineCursor lines_;
-  CursorOptions opt_;
   sim::SimTime last_ = 0;
   std::uint64_t records_ = 0;
   std::unordered_map<std::string, std::uint32_t> clients_;
@@ -232,7 +228,6 @@ class ParallelJobCursor {
 
  private:
   LineCursor lines_;
-  CursorOptions opt_;
   sim::SimTime last_ = 0;
 };
 

@@ -73,7 +73,7 @@ class SloTracker {
   /// Records one completed request of class `cls`: end-to-end `latency`,
   /// and whether the backend succeeded.  A failed request can never meet
   /// the SLO, whatever its latency.  `lane` must be the recording lane's
-  /// index (ExecDomain::lane_of); each lane owns its shard, so concurrent
+  /// index (ParallelEngine::lane_of); each lane owns its shard, so concurrent
   /// calls from *different* lanes are race-free.
   void record(std::size_t cls, sim::Duration latency, bool ok,
               unsigned lane = 0);

@@ -5,7 +5,7 @@
 namespace now::serve {
 
 ServeWorkload::ServeWorkload(sim::Engine& engine, Backends backends,
-                             ServeConfig cfg, sim::ExecDomain* domain)
+                             ServeConfig cfg, sim::ParallelEngine* domain)
     : engine_(engine),
       domain_(domain),
       b_(backends),

@@ -21,7 +21,7 @@
 // at any horizon or rate.
 //
 // Partition discipline: serving is lane-clean when the backend is.  Pass
-// the cluster's ExecDomain and every client's timers, issue events, and
+// the cluster's ParallelEngine and every client's timers, issue events, and
 // completions run on the lane owning its node; per-lane counter shards
 // and a sharded SloTracker keep the completion path lock-free, merged
 // exactly at report time (thread-count-invariant output — DESIGN.md §15).
@@ -60,7 +60,7 @@
 #include "serve/request_mix.hpp"
 #include "serve/slo.hpp"
 #include "sim/engine.hpp"
-#include "sim/exec_domain.hpp"
+#include "sim/parallel_engine.hpp"
 #include "xfs/central_server.hpp"
 #include "xfs/xfs.hpp"
 
@@ -123,7 +123,7 @@ class ServeWorkload {
   /// lane owning its node (requires a lane-clean backend — central only).
   /// Null is the serial path, byte-identical to partitioned output.
   ServeWorkload(sim::Engine& engine, Backends backends, ServeConfig cfg,
-                sim::ExecDomain* domain = nullptr);
+                sim::ParallelEngine* domain = nullptr);
   ServeWorkload(const ServeWorkload&) = delete;
   ServeWorkload& operator=(const ServeWorkload&) = delete;
 
@@ -186,7 +186,7 @@ class ServeWorkload {
   }
 
   sim::Engine& engine_;
-  sim::ExecDomain* domain_ = nullptr;
+  sim::ParallelEngine* domain_ = nullptr;
   Backends b_;
   ServeConfig cfg_;
   ClientPopulation pop_;

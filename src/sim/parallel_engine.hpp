@@ -14,7 +14,7 @@
 //    cross-lane interaction generated inside an epoch lands strictly
 //    beyond the barrier and intra-epoch execution is race-free by
 //    construction (the hornet/DARSIM quantum discipline).
-//  * Barriers.  Cross-lane messages (ExecDomain::post) accumulated during
+//  * Barriers.  Cross-lane messages (post) accumulated during
 //    the epoch are drained into their destination lanes in the
 //    deterministic merge order (order_time, src_node, dst_node,
 //    per-mailbox seq) — a key independent of the thread count, so results
@@ -34,8 +34,8 @@
 #include <thread>
 #include <vector>
 
+#include "sim/callback.hpp"
 #include "sim/engine.hpp"
-#include "sim/exec_domain.hpp"
 
 namespace now::sim {
 
@@ -60,37 +60,49 @@ struct ParallelConfig {
   Duration lookahead = 0;
   /// Run once on each worker thread before it executes events.  The sim
   /// layer knows nothing about observability; the Cluster passes a hook
-  /// installing the run's thread-local metrics/tracer/log bindings here, so
+  /// installing the run's thread-local metrics/tracer bindings here, so
   /// instrumentation inside partition events resolves to the same instances
   /// as on the driving thread.
   std::function<void()> worker_init;
 };
 
-class ParallelEngine final : public ExecDomain {
+class ParallelEngine final {
  public:
   /// `global` is the caller-owned global lane (the Cluster's own engine);
   /// partition lanes are created here.
   ParallelEngine(Engine& global, ParallelConfig cfg);
-  ~ParallelEngine() override;
+  ~ParallelEngine();
   ParallelEngine(const ParallelEngine&) = delete;
   ParallelEngine& operator=(const ParallelEngine&) = delete;
 
-  // --- ExecDomain -------------------------------------------------------
-  unsigned lanes() const override { return static_cast<unsigned>(parts_.size()); }
-  Engine& engine_for(std::uint32_t node) override {
-    return *parts_[lane_of(node)];
-  }
-  bool same_lane(std::uint32_t a, std::uint32_t b) const override {
+  /// Number of partition lanes (excluding the global lane).
+  unsigned lanes() const { return static_cast<unsigned>(parts_.size()); }
+  /// The event lane that owns `node`: all of the node's timers, CPU/disk
+  /// events, and protocol handlers run here.
+  Engine& engine_for(std::uint32_t node) { return *parts_[lane_of(node)]; }
+  /// True if `a` and `b` live on the same lane (their interactions need no
+  /// cross-lane message).
+  bool same_lane(std::uint32_t a, std::uint32_t b) const {
     return lane_of(a) == lane_of(b);
   }
+  /// Hands `fn` to the lane owning `dst_node`.  It runs at the next epoch
+  /// barrier, with exclusive access to the destination lane's state, after
+  /// every message with a smaller (order_time, src_node, dst_node,
+  /// sequence) key — the deterministic merge rule that makes results
+  /// independent of the thread count.  `order_time` must be >= the end of
+  /// the current epoch (guaranteed when it is a wire-send time plus the
+  /// fabric lookahead).
   void post(std::uint32_t src_node, std::uint32_t dst_node, SimTime order_time,
-            InlinedCallback fn) override;
+            InlinedCallback fn);
 
   Engine& global_engine() { return global_; }
-  /// Block assignment over alignment groups: group g (= node / align) of
-  /// `groups_` total lands on lane g * lanes / groups.  align = 1 reduces
-  /// to the original per-node block layout.
-  unsigned lane_of(std::uint32_t node) const override {
+  /// Index of the lane that owns `node`, in [0, lanes()).  Drivers that keep
+  /// per-lane statistic shards (merged after the run) index them with this,
+  /// so hot-path recording never takes a lock.  Block assignment over
+  /// alignment groups: group g (= node / align) of `groups_` total lands on
+  /// lane g * lanes / groups.  align = 1 reduces to the original per-node
+  /// block layout.
+  unsigned lane_of(std::uint32_t node) const {
     const std::uint64_t group = node / cfg_.align;
     return static_cast<unsigned>((group * parts_.size()) / groups_);
   }

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <memory>
 
-#include "sim/log.hpp"
 
 namespace now::xfs {
 
@@ -670,8 +669,6 @@ void Xfs::manager_takeover(net::NodeId failed, net::NodeId successor,
   ++stats_.manager_takeovers;
   obs_takeovers_->inc();
   obs::tracer().instant(successor, obs_track_, "manager_takeover");
-  sim::LogStream(sim::LogLevel::kInfo, engine().now(), "xfs")
-      << "manager takeover: node " << failed << " -> node " << successor;
   for (net::NodeId& m : ring_) {
     if (m == failed) m = successor;
   }

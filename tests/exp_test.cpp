@@ -17,7 +17,6 @@
 #include "exp/seed.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/log.hpp"
 #include "sim/random.hpp"
 
 namespace {
@@ -228,7 +227,6 @@ TEST(RunContext, InstallsAndRestoresThreadState) {
     EXPECT_EQ(exp::current_context(), &ctx);
     EXPECT_EQ(&obs::metrics(), &ctx.metrics);
     EXPECT_EQ(&obs::tracer(), &ctx.tracer);
-    EXPECT_EQ(sim::thread_log_config(), &ctx.log);
     {
       exp::RunContext inner(5, 3);
       exp::ScopedRunContext nested(inner);
@@ -240,19 +238,6 @@ TEST(RunContext, InstallsAndRestoresThreadState) {
   }
   EXPECT_EQ(exp::current_context(), nullptr);
   EXPECT_EQ(&obs::metrics(), &process);
-  EXPECT_EQ(sim::thread_log_config(), nullptr);
-}
-
-TEST(RunContext, LogLevelChangesAreRunLocal) {
-  const sim::LogLevel before = sim::log_level();
-  {
-    exp::RunContext ctx(1, 0);
-    exp::ScopedRunContext scope(ctx);
-    sim::set_log_level(sim::LogLevel::kTrace);  // routes to ctx.log
-    EXPECT_EQ(sim::log_level(), sim::LogLevel::kTrace);
-    EXPECT_EQ(ctx.log.level, sim::LogLevel::kTrace);
-  }
-  EXPECT_EQ(sim::log_level(), before);  // process default untouched
 }
 
 TEST(RunContext, ConcurrentRunsKeepPrivateMetrics) {

@@ -88,39 +88,6 @@ TEST(MetricsRegistry, DisabledUpdatesAreDropped) {
 
 // --- Tracer -------------------------------------------------------------
 
-TEST(Tracer, SpanNestingRecordsContainedIntervals) {
-  Tracer& t = tracer();
-  t.clear();
-  t.enable(1024);
-  sim::Engine engine;
-  t.set_clock(&engine);
-  const TrackId track = t.track("test");
-
-  engine.schedule_at(1 * sim::kMillisecond, [&] {
-    Span outer(3, track, "outer");
-    {
-      Span inner(3, track, "inner");
-      engine.schedule_in(0, [] {});  // same-instant noop
-    }  // inner closes here, at the same sim time it opened
-    outer.end();
-  });
-  engine.schedule_at(2 * sim::kMillisecond, [] {});
-  engine.run();
-
-  // Two spans recorded: inner first (it closed first), both at t=1ms.
-  ASSERT_EQ(t.size(), 2u);
-  std::ostringstream os;
-  t.export_chrome_json(os);
-  const std::string json = os.str();
-  const auto inner_at = json.find("\"inner\"");
-  const auto outer_at = json.find("\"outer\"");
-  ASSERT_NE(inner_at, std::string::npos);
-  ASSERT_NE(outer_at, std::string::npos);
-  EXPECT_LT(inner_at, outer_at);
-  t.disable();
-  t.set_clock(nullptr);
-}
-
 TEST(Tracer, ExportedJsonHasCompleteEventsAndMetadata) {
   Tracer& t = tracer();
   t.clear();

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "coopcache/coopcache.hpp"
@@ -210,8 +211,13 @@ struct RaidCase {
   raid::Level level;
   int degraded;  // 0 or 1
 };
-static_assert(sizeof(RaidCase) == 3 * sizeof(int),
-              "RaidCase must have no padding");
+// CTest names each case after its printed GetParam(): print names, not the
+// struct's raw bytes.
+void PrintTo(const RaidCase& tc, std::ostream* os) {
+  *os << 'n' << tc.members
+      << (tc.level == raid::Level::kRaid0 ? "_raid0" : "_raid5") << "_deg"
+      << tc.degraded;
+}
 
 class RaidExtents : public ::testing::TestWithParam<RaidCase> {};
 
@@ -373,9 +379,10 @@ INSTANTIATE_TEST_SUITE_P(
 struct OverlayCase {
   std::uint64_t seed;
   std::uint32_t workstations;
-  std::uint32_t unused = 0;
 };
-static_assert(sizeof(OverlayCase) == 16, "OverlayCase must have no padding");
+void PrintTo(const OverlayCase& tc, std::ostream* os) {
+  *os << "seed" << tc.seed << "_ws" << tc.workstations;
+}
 
 class OverlayBounds : public ::testing::TestWithParam<OverlayCase> {};
 
@@ -411,6 +418,9 @@ struct TcpCase {
   std::uint32_t mtu;
   std::uint32_t window;
 };
+void PrintTo(const TcpCase& tc, std::ostream* os) {
+  *os << "mtu" << tc.mtu << "_win" << tc.window;
+}
 
 class TcpDelivery : public ::testing::TestWithParam<TcpCase> {};
 

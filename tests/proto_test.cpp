@@ -311,47 +311,6 @@ TEST(Am, SendFromProcessBlocksOnFullWindow) {
   EXPECT_GT(am.stats().stalled_sends, 0u);
 }
 
-TEST(NicAdmission, OnlyAttestedNodesMayTalk) {
-  Rig rig(3);
-  AmLayer am(*rig.mux, AmParams{});
-  const EndpointId e0 =
-      am.create_endpoint(*rig.nodes[0], AmLayer::Mode::kInterrupt);
-  const EndpointId e1 =
-      am.create_endpoint(*rig.nodes[1], AmLayer::Mode::kInterrupt);
-  int handled = 0;
-  am.register_handler(e1, 1, [&](const AmMessage&) { ++handled; });
-
-  // Enforcement on: the blessed kernel hashes to 0xB007.
-  rig.mux->require_admission(0xB007);
-  EXPECT_FALSE(rig.mux->admitted(0));
-  EXPECT_FALSE(rig.mux->admit(0, 0xBAD));  // wrong image
-  EXPECT_TRUE(rig.mux->admit(0, 0xB007));
-  EXPECT_TRUE(rig.mux->admit(1, 0xB007));
-
-  am.send(e0, e1, 1, 64, {});
-  rig.engine.run_until(rig.engine.now() + sim::kSecond);
-  EXPECT_EQ(handled, 1);
-
-  // Node 0 reboots into an unknown kernel: expelled; its traffic vanishes.
-  rig.mux->expel(0);
-  am.send(e0, e1, 1, 64, {});
-  rig.engine.run_until(rig.engine.now() + 500 * sim::kMillisecond);
-  EXPECT_EQ(handled, 1);
-  EXPECT_GT(rig.mux->rejected_packets(), 0u);
-
-  // Re-attesting (before the sender's window gives the message up for
-  // dead) restores service: a retransmission gets through.
-  EXPECT_TRUE(rig.mux->admit(0, 0xB007));
-  rig.engine.run_until(rig.engine.now() + 10 * sim::kSecond);
-  EXPECT_EQ(handled, 2);
-}
-
-TEST(NicAdmission, OffByDefault) {
-  Rig rig(2);
-  EXPECT_TRUE(rig.mux->admitted(0));
-  EXPECT_TRUE(rig.mux->admitted(1));
-}
-
 TEST(Tcp, OneWaySmallMessageNear456usOnEthernetClassPath) {
   // The paper: 456 us processor overhead + unloaded latency for one small
   // message through kernel TCP on Ethernet.
