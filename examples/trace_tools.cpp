@@ -1,7 +1,7 @@
 // Trace tooling: generate the synthetic stand-in traces, export them to
-// files, read them back, and print their vital statistics — the workflow
-// for swapping in real traces (any tool that writes the same line format
-// plugs straight into the benches).
+// files, stream the fs trace back, and print their vital statistics — the
+// workflow for swapping in real traces (any tool that writes the fs line
+// format plugs straight into the benches that take --trace).
 //
 //   $ ./examples/trace_tools [output-directory]
 #include <cstdio>
@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string>
 
+#include "replay/cursor.hpp"
 #include "trace/fs_trace.hpp"
 #include "trace/nfs_trace.hpp"
 #include "trace/parallel_trace.hpp"
@@ -67,15 +68,17 @@ int main(int argc, char** argv) {
   // --- Round-trip check --------------------------------------------------
   {
     std::ifstream in(dir + "/fs_trace.txt");
-    const auto reloaded = trace::read_fs_trace(in);
-    std::printf("\nround trip:      re-read %zu fs accesses (%s)\n",
-                reloaded.size(),
-                reloaded.size() == fs.size() ? "intact" : "MISMATCH");
+    replay::FsTraceCursor cur(in);
+    std::size_t reread = 0;
+    while (cur.next()) ++reread;
+    std::printf("\nround trip:      re-read %zu fs accesses (%s)\n", reread,
+                reread == fs.size() ? "intact" : "MISMATCH");
   }
 
   std::printf("\nformat: '#'-comments + one record per line; see "
               "src/trace/trace_io.hpp.\n"
-              "Replace any of these files with a real trace and feed it "
-              "to the benches.\n");
+              "Replace fs_trace.txt with a real trace and feed it to "
+              "bench_table3_coopcache,\nbench_xfs_vs_central or "
+              "bench_serving with --trace.\n");
   return 0;
 }

@@ -31,6 +31,7 @@ void HierarchicalNetwork::on_attach(NodeId node) {
 }
 
 void HierarchicalNetwork::ensure_racks(std::uint32_t racks) {
+  if (racks < 2) return;
   const std::size_t trunks = topo_.trunk_index(racks, 0);
   if (trunks <= trunk_up_busy_.size()) return;
   const std::size_t first_new =
@@ -88,8 +89,11 @@ void HierarchicalNetwork::send(Packet pkt) {
   if (domain() != nullptr) {
     // Every hop past the source uplink touches state shared across
     // senders (trunks belong to racks, the downlink to the receiver), so
-    // it is applied at the next barrier in the deterministic merge order —
-    // exactly the SwitchedNetwork two-phase discipline, per hop.
+    // it is applied at the next barrier in the deterministic merge order,
+    // replaying the serial send-order evolution of every busy horizon
+    // regardless of which lane ran first.  Same-lane sends take this path
+    // too; bypassing the mailbox would make contention order depend on the
+    // partition layout.
     domain()->post(
         pkt.src, pkt.dst, pkt.sent_at,
         [this, up_start, up_done, ser, p = std::move(pkt)]() mutable {
@@ -139,8 +143,7 @@ void HierarchicalNetwork::finish_send(Packet pkt, sim::SimTime up_start,
           sim::to_us(trunk_wait));
     }
     // Backlog on the destination host link: how far its busy horizon
-    // extends beyond the send instant (0 when uncontended) — the same
-    // receive-contention signal the flat fabric exposes.
+    // extends beyond the send instant (0 when uncontended).
     host_down_q_[pkt.dst]->set(sim::to_us(prev_done - pkt.sent_at - ser));
   }
 

@@ -1,5 +1,7 @@
 #include "net/presets.hpp"
 
+#include <limits>
+
 namespace now::net {
 
 FabricParams ethernet_10mbps() {
@@ -37,6 +39,14 @@ FabricParams myrinet() {
   p.latency = 1 * sim::kMicrosecond;  // short wires
   p.header_bytes = 8;
   p.cut_through = true;               // wormhole routing
+  return p;
+}
+
+HierarchicalParams single_switch(FabricParams fabric) {
+  HierarchicalParams p;
+  p.fabric = fabric;
+  p.topo.nodes_per_rack = std::numeric_limits<std::uint32_t>::max();
+  p.topo.racks = 1;
   return p;
 }
 

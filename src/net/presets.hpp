@@ -28,6 +28,11 @@ FabricParams myrinet();
 /// CM-5 data network: 4 us across the machine, ~20 MB/s per link.
 FabricParams cm5_fabric();
 
+/// A flat switched LAN or MPP interconnect (any preset above but Ethernet):
+/// one switch with every node on it, i.e. a fat tree of one rack and no
+/// spine.  Feed it to HierarchicalNetwork.
+HierarchicalParams single_switch(FabricParams fabric);
+
 /// The building-wide NOW: `racks` racks of `nodes_per_rack` workstations
 /// under edge switches, Myrinet-class 640 Mb/s cut-through links with 1 us
 /// per switch crossing, and enough spine uplinks per rack for an

@@ -242,52 +242,6 @@ std::optional<trace::FsAccess> NfsFsCursor::next() {
   return a;
 }
 
-// --- ParallelJobCursor / UsageIntervalCursor -----------------------------
-
-ParallelJobCursor::ParallelJobCursor(std::istream& in, CursorOptions opt)
-    : lines_(in, opt.window_bytes) {}
-
-std::optional<trace::ParallelJob> ParallelJobCursor::next() {
-  const auto line = lines_.next();
-  if (!line) return std::nullopt;
-  std::string_view f[5];
-  if (split(*line, f, 4) != 4) bad_line("parallel job", lines_.line_number());
-  double arrival_us = 0, work_us = 0;
-  trace::ParallelJob j;
-  if (!parse_f64(f[0], &arrival_us) || !parse_uint(f[1], &j.width) ||
-      !parse_f64(f[2], &work_us) || f[3].size() != 1 ||
-      (f[3][0] != 'p' && f[3][0] != 'd') || j.width == 0) {
-    bad_line("parallel job", lines_.line_number());
-  }
-  j.arrival = sim::from_us(arrival_us);
-  j.work = sim::from_us(work_us);
-  j.development = f[3][0] == 'd';
-  if (j.arrival < last_) {
-    bad_line("out-of-order timestamp", lines_.line_number());
-  }
-  last_ = j.arrival;
-  return j;
-}
-
-UsageIntervalCursor::UsageIntervalCursor(std::istream& in, CursorOptions opt)
-    : lines_(in, opt.window_bytes) {}
-
-std::optional<UsageIntervalCursor::Row> UsageIntervalCursor::next() {
-  const auto line = lines_.next();
-  if (!line) return std::nullopt;
-  std::string_view f[4];
-  if (split(*line, f, 3) != 3) bad_line("busy interval", lines_.line_number());
-  Row row;
-  double begin_us = 0, end_us = 0;
-  if (!parse_uint(f[0], &row.node) || !parse_f64(f[1], &begin_us) ||
-      !parse_f64(f[2], &end_us) || end_us < begin_us) {
-    bad_line("busy interval", lines_.line_number());
-  }
-  row.interval.begin = sim::from_us(begin_us);
-  row.interval.end = sim::from_us(end_us);
-  return row;
-}
-
 // --- File-level helpers --------------------------------------------------
 
 const char* to_string(TraceFormat f) {

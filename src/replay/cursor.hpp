@@ -39,10 +39,6 @@
 //     (bpf = blocks_per_file, bs = block_bytes; offsets past the per-file
 //     span clamp to the last block.)
 //
-//   * ParallelJobCursor / UsageIntervalCursor — the other native line
-//     formats, so trace_io's materializing readers are thin wrappers over
-//     the same streaming core.
-//
 // Every parse error cites the offending 1-based line number; timestamped
 // formats reject out-of-order records (a recorded stream is a schedule —
 // replaying one out of order would silently reorder the simulation).
@@ -61,8 +57,6 @@
 #include <vector>
 
 #include "trace/fs_trace.hpp"
-#include "trace/parallel_trace.hpp"
-#include "trace/usage_trace.hpp"
 
 namespace now::replay {
 
@@ -216,33 +210,6 @@ class NfsFsCursor : public TraceCursor {
  private:
   NfsTraceCursor nfs_;
   NfsMapParams map_;
-};
-
-// --- Other native formats (streaming cores for trace_io) ----------------
-
-/// Parallel-job format: `<arrival_us> <width> <work_us> <p|d>`.
-class ParallelJobCursor {
- public:
-  explicit ParallelJobCursor(std::istream& in, CursorOptions opt = {});
-  std::optional<trace::ParallelJob> next();
-
- private:
-  LineCursor lines_;
-  sim::SimTime last_ = 0;
-};
-
-/// Busy-interval format: `<node> <begin_us> <end_us>`.
-class UsageIntervalCursor {
- public:
-  struct Row {
-    std::uint32_t node = 0;
-    trace::BusyInterval interval;
-  };
-  explicit UsageIntervalCursor(std::istream& in, CursorOptions opt = {});
-  std::optional<Row> next();
-
- private:
-  LineCursor lines_;
 };
 
 // --- File-level helpers --------------------------------------------------

@@ -2,18 +2,8 @@
 
 #include <array>
 #include <charconv>
-#include <istream>
 #include <ostream>
 #include <string_view>
-
-#include "replay/cursor.hpp"
-
-// The readers here materialize whole traces into vectors for callers that
-// want random access (tests, generators round-tripping).  They are thin
-// wrappers over the streaming cursors in replay/cursor.hpp — one parser,
-// one error-message convention ("trace parse error (...) at line N"), and
-// the same monotonic-timestamp enforcement whether a trace is replayed
-// incrementally or loaded whole.
 
 namespace now::trace {
 
@@ -76,13 +66,6 @@ void write_fs_trace(std::ostream& out, const std::vector<FsAccess>& trace) {
   w.flush();
 }
 
-std::vector<FsAccess> read_fs_trace(std::istream& in) {
-  std::vector<FsAccess> out;
-  replay::FsTraceCursor cur(in);
-  while (auto a = cur.next()) out.push_back(*a);
-  return out;
-}
-
 void write_usage_trace(std::ostream& out, const UsageTrace& trace) {
   RecordWriter w(out);
   w << "# usage trace: <node> <begin_us> <end_us>\n";
@@ -95,17 +78,6 @@ void write_usage_trace(std::ostream& out, const UsageTrace& trace) {
   w.flush();
 }
 
-std::vector<std::vector<BusyInterval>> read_usage_intervals(
-    std::istream& in) {
-  std::vector<std::vector<BusyInterval>> out;
-  replay::UsageIntervalCursor cur(in);
-  while (auto row = cur.next()) {
-    if (row->node >= out.size()) out.resize(row->node + 1);
-    out[row->node].push_back(row->interval);
-  }
-  return out;
-}
-
 void write_parallel_jobs(std::ostream& out,
                          const std::vector<ParallelJob>& jobs) {
   RecordWriter w(out);
@@ -115,13 +87,6 @@ void write_parallel_jobs(std::ostream& out,
       << sim::to_us(j.work) << ' ' << (j.development ? 'd' : 'p') << '\n';
   }
   w.flush();
-}
-
-std::vector<ParallelJob> read_parallel_jobs(std::istream& in) {
-  std::vector<ParallelJob> out;
-  replay::ParallelJobCursor cur(in);
-  while (auto j = cur.next()) out.push_back(*j);
-  return out;
 }
 
 }  // namespace now::trace

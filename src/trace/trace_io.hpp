@@ -1,6 +1,6 @@
-// Trace file I/O: simple line-oriented formats so real traces (or traces
-// from other tools) can replace the synthetic generators, and synthetic
-// ones can be exported for inspection.
+// Trace file writers: simple line-oriented formats, so synthetic traces
+// can be exported for inspection or for other tools.  The fs format is the
+// one the benches replay (replay::FsTraceCursor reads it back, streaming).
 //
 // Formats (one record per line, '#' comments and blank lines ignored):
 //   file-system access : <time_us> <client> <block> <r|w>
@@ -20,19 +20,12 @@ namespace now::trace {
 
 // --- File-system traces -----------------------------------------------
 void write_fs_trace(std::ostream& out, const std::vector<FsAccess>& trace);
-/// Throws std::runtime_error on malformed input, with the line number.
-std::vector<FsAccess> read_fs_trace(std::istream& in);
 
 // --- Usage (busy-interval) traces -------------------------------------
 void write_usage_trace(std::ostream& out, const UsageTrace& trace);
-/// Returns per-node busy intervals (node ids may be sparse; the result is
-/// sized to the largest id + 1).
-std::vector<std::vector<BusyInterval>> read_usage_intervals(
-    std::istream& in);
 
 // --- Parallel-job traces -----------------------------------------------
 void write_parallel_jobs(std::ostream& out,
                          const std::vector<ParallelJob>& jobs);
-std::vector<ParallelJob> read_parallel_jobs(std::istream& in);
 
 }  // namespace now::trace

@@ -226,6 +226,27 @@ TEST(HierarchicalNetwork, ThousandNodeSmoke) {
             nullptr);
 }
 
+// A flat switch is a one-rack tree: every packet is rack-local, and with no
+// spine there is no trunk state and no per-trunk gauge.
+TEST(HierarchicalNetwork, OneRackHasNoSpine) {
+  obs::MetricsRegistry reg;
+  obs::MetricsRegistry* prev = obs::set_thread_metrics(&reg);
+  {
+    sim::Engine eng;
+    HierarchicalNetwork net(eng, single_switch(myrinet()));
+    for (NodeId n = 0; n < 64; ++n) net.attach(n, [](Packet&&) {});
+    for (NodeId n = 0; n < 64; ++n) net.send(make_packet(n, 63 - n, 512));
+    eng.run();
+    EXPECT_EQ(net.hier_stats().rack_local_packets, 64u);
+    EXPECT_EQ(net.hier_stats().cross_rack_packets, 0u);
+    EXPECT_EQ(net.unloaded_transit(0, 63, 512),
+              myrinet().serialization(512) + myrinet().latency);
+  }
+  obs::set_thread_metrics(prev);
+  EXPECT_NE(reg.find_gauge("net.link63.queue_us"), nullptr);
+  EXPECT_EQ(reg.find_gauge("net.rack0.spine0.queue_us"), nullptr);
+}
+
 // --- Rack-aligned partitioning --------------------------------------------
 
 TEST(ParallelEngine, AlignKeepsRacksOnOneLane) {

@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "models/logp.hpp"
+#include "net/hierarchical.hpp"
 #include "net/presets.hpp"
-#include "net/switched.hpp"
 #include "proto/am.hpp"
 #include "proto/nic_mux.hpp"
 #include "sim/engine.hpp"
@@ -80,7 +80,8 @@ TEST(LogP, SendTrainRateIsGapLimited) {
 // --- Cross-validation against the DES --------------------------------
 
 struct Rig {
-  Rig() : fabric(engine, net::fddi_medusa()), mux(fabric) {
+  Rig()
+      : fabric(engine, net::single_switch(net::fddi_medusa())), mux(fabric) {
     proto::AmParams ap;
     ap.costs = proto::am_medusa();
     ap.window = 64;
@@ -92,7 +93,7 @@ struct Rig {
     }
   }
   sim::Engine engine;
-  net::SwitchedNetwork fabric;
+  net::HierarchicalNetwork fabric;
   proto::NicMux mux;
   std::unique_ptr<proto::AmLayer> am;
   std::vector<std::unique_ptr<os::Node>> nodes;

@@ -1,11 +1,11 @@
 // Unit tests for the fabric models.
 #include <gtest/gtest.h>
 
+#include "net/hierarchical.hpp"
 #include "net/network.hpp"
 #include "net/placement.hpp"
 #include "net/presets.hpp"
 #include "net/shared_bus.hpp"
-#include "net/switched.hpp"
 #include "sim/engine.hpp"
 
 namespace now::net {
@@ -46,13 +46,13 @@ TEST(FabricParams, AtmCellsRoundUp) {
 
 TEST(SwitchedNetwork, UnloadedTransitMatchesModel) {
   sim::Engine eng;
-  SwitchedNetwork net(eng, fddi_medusa());
+  HierarchicalNetwork net(eng, single_switch(fddi_medusa()));
   sim::SimTime delivered_at = -1;
   net.attach(0, [](Packet&&) {});
   net.attach(1, [&](Packet&&) { delivered_at = eng.now(); });
   net.send(make_packet(0, 1, 1024));
   eng.run();
-  EXPECT_EQ(delivered_at, net.unloaded_transit(1024));
+  EXPECT_EQ(delivered_at, net.unloaded_transit(0, 1, 1024));
 }
 
 TEST(SwitchedNetwork, UplinkSerializesBackToBackSends) {
@@ -60,7 +60,7 @@ TEST(SwitchedNetwork, UplinkSerializesBackToBackSends) {
   FabricParams p;
   p.link_bandwidth_bps = 8e6;  // 1 us/byte
   p.latency = 0;
-  SwitchedNetwork net(eng, p);
+  HierarchicalNetwork net(eng, single_switch(p));
   std::vector<sim::SimTime> times;
   net.attach(0, [](Packet&&) {});
   net.attach(1, [&](Packet&&) { times.push_back(eng.now()); });
@@ -79,7 +79,7 @@ TEST(SwitchedNetwork, DisjointPairsDontContend) {
   FabricParams p;
   p.link_bandwidth_bps = 8e6;
   p.latency = 0;
-  SwitchedNetwork net(eng, p);
+  HierarchicalNetwork net(eng, single_switch(p));
   std::vector<sim::SimTime> times(4, -1);
   for (NodeId n = 0; n < 4; ++n) {
     net.attach(n, [&, n](Packet&&) { times[n] = eng.now(); });
@@ -96,7 +96,7 @@ TEST(SwitchedNetwork, DownlinkContentionQueuesFanIn) {
   FabricParams p;
   p.link_bandwidth_bps = 8e6;
   p.latency = 0;
-  SwitchedNetwork net(eng, p);
+  HierarchicalNetwork net(eng, single_switch(p));
   std::vector<sim::SimTime> arrivals;
   for (NodeId n = 0; n < 3; ++n) {
     net.attach(n, [&](Packet&&) { arrivals.push_back(eng.now()); });
@@ -109,6 +109,89 @@ TEST(SwitchedNetwork, DownlinkContentionQueuesFanIn) {
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_EQ(arrivals[0], sim::from_us(200));
   EXPECT_EQ(arrivals[1], sim::from_us(300));
+}
+
+// Delivery instants of the flat switched fabrics, pinned in nanoseconds: a
+// 4-sender fan-in and back-to-back sends of mixed sizes (empty, under and
+// over one ATM cell, 8 KB) on every switched preset plus one
+// store-and-forward fabric.  The values were recorded from the flat
+// switch when it was a class of its own; a one-rack tree reproduces them.
+struct FlatTimingCase {
+  const char* name;
+  FabricParams params;
+  std::vector<sim::SimTime> delivered;  // in tag order
+};
+
+FabricParams store_and_forward() {
+  FabricParams p;
+  p.link_bandwidth_bps = 100e6;
+  p.latency = 10 * kMicrosecond;
+  p.header_bytes = 20;
+  return p;
+}
+
+std::vector<sim::SimTime> flat_fabric_delivery_instants(FabricParams p) {
+  sim::Engine eng;
+  HierarchicalNetwork net(eng, single_switch(p));
+  std::vector<sim::SimTime> at(12, -1);
+  for (NodeId n = 0; n < 7; ++n) {
+    net.attach(n, [&](Packet&& pkt) { at[pkt.tag] = eng.now(); });
+  }
+  std::uint32_t tag = 0;
+  const auto send = [&](NodeId src, NodeId dst, std::uint32_t bytes) {
+    Packet pkt = make_packet(src, dst, bytes);
+    pkt.tag = tag++;
+    net.send(std::move(pkt));
+  };
+  // Fan-in: four senders target node 0 at t = 0 and queue on its downlink.
+  send(1, 0, 0);
+  send(2, 0, 40);
+  send(3, 0, 100);
+  send(4, 0, 8192);
+  // Back to back from one sender: each packet waits on node 5's uplink.
+  send(5, 6, 8192);
+  send(5, 6, 0);
+  send(5, 6, 100);
+  send(5, 6, 40);
+  // Later sends land while the fan-in still holds node 0's downlink; node
+  // 0's own uplink is independent of it (full duplex).
+  eng.schedule_at(30 * kMicrosecond, [&] {
+    send(1, 0, 8192);
+    send(0, 1, 40);
+    send(6, 0, 100);
+    send(5, 6, 8192);
+  });
+  eng.run();
+  return at;
+}
+
+TEST(FlatFabricTiming, DeliveryInstantsArePinned) {
+  const std::vector<FlatTimingCase> cases = {
+      {"atm_155mbps",
+       atm_155mbps(),
+       {52735, 55470, 63676, 531443, 517767, 520502, 528708, 531443, 999210,
+        82735, 1007416, 999210}},
+      {"fddi_medusa",
+       fddi_medusa(),
+       {10240, 15680, 25920, 683520, 665600, 667840, 678080, 683520,
+        1341120, 43440, 1351360, 1341120}},
+      {"myrinet",
+       myrinet(),
+       {1100, 1700, 3050, 105550, 103500, 103600, 104950, 105550, 208050,
+        31600, 209400, 208050}},
+      {"cm5_fabric",
+       cm5_fabric(),
+       {4200, 6400, 11600, 421400, 413800, 414000, 419200, 421400, 831200,
+        36200, 836400, 831200}},
+      {"store_and_forward",
+       store_and_forward(),
+       {13200, 19600, 29200, 1323920, 1323920, 1325520, 1335120, 1339920,
+        1980880, 49600, 1990480, 1996880}},
+  };
+  for (const FlatTimingCase& c : cases) {
+    EXPECT_EQ(flat_fabric_delivery_instants(c.params), c.delivered)
+        << c.name;
+  }
 }
 
 TEST(SharedBus, SendersShareOneMedium) {
@@ -143,7 +226,7 @@ TEST(SharedBus, UtilizationTracksLoad) {
 
 TEST(Network, RxBufferOverflowDrops) {
   sim::Engine eng;
-  SwitchedNetwork net(eng, fddi_medusa());
+  HierarchicalNetwork net(eng, single_switch(fddi_medusa()));
   int delivered = 0;
   net.attach(0, [](Packet&&) {});
   net.attach(1, [&](Packet&&) { ++delivered; }, /*rx_buffer_bytes=*/2048);
@@ -156,7 +239,7 @@ TEST(Network, RxBufferOverflowDrops) {
 
 TEST(Network, ReleaseRxMakesRoomAgain) {
   sim::Engine eng;
-  SwitchedNetwork net(eng, fddi_medusa());
+  HierarchicalNetwork net(eng, single_switch(fddi_medusa()));
   int delivered = 0;
   net.attach(0, [](Packet&&) {});
   net.attach(1,
@@ -173,7 +256,7 @@ TEST(Network, ReleaseRxMakesRoomAgain) {
 
 TEST(Network, StatsCountTraffic) {
   sim::Engine eng;
-  SwitchedNetwork net(eng, myrinet());
+  HierarchicalNetwork net(eng, single_switch(myrinet()));
   net.attach(0, [](Packet&&) {});
   net.attach(1, [](Packet&&) {});
   net.send(make_packet(0, 1, 4096));
@@ -188,11 +271,11 @@ TEST(Presets, RelativeSpeeds) {
   // The paper's ordering: MPP fabrics << switched LANs << shared Ethernet
   // for an 8 KB transfer.
   sim::Engine eng;
-  SwitchedNetwork mpp(eng, cm5_fabric());
-  SwitchedNetwork atm(eng, atm_155mbps());
+  HierarchicalNetwork mpp(eng, single_switch(cm5_fabric()));
+  HierarchicalNetwork atm(eng, single_switch(atm_155mbps()));
   SharedBusNetwork eth(eng, ethernet_10mbps());
-  const auto t_mpp = mpp.unloaded_transit(8192);
-  const auto t_atm = atm.unloaded_transit(8192);
+  const auto t_mpp = mpp.unloaded_transit(0, 1, 8192);
+  const auto t_atm = atm.unloaded_transit(0, 1, 8192);
   const auto t_eth = eth.unloaded_transit(8192);
   EXPECT_LT(t_mpp, t_atm);
   EXPECT_LT(t_atm, t_eth);

@@ -12,8 +12,8 @@
 #include "core/cluster.hpp"
 #include "glunix/overlay_sim.hpp"
 #include "glunix/spmd.hpp"
+#include "net/hierarchical.hpp"
 #include "net/presets.hpp"
-#include "net/switched.hpp"
 #include "proto/am.hpp"
 #include "proto/nic_mux.hpp"
 #include "proto/rpc.hpp"
@@ -168,7 +168,7 @@ class AmLossSweep : public ::testing::TestWithParam<double> {};
 TEST_P(AmLossSweep, ExactlyOnceAndInOrder) {
   const double loss = GetParam();
   sim::Engine eng;
-  net::SwitchedNetwork fabric(eng, net::fddi_medusa());
+  net::HierarchicalNetwork fabric(eng, net::single_switch(net::fddi_medusa()));
   proto::NicMux mux(fabric);
   proto::AmParams ap;
   ap.loss_probability = loss;
@@ -224,7 +224,7 @@ class RaidExtents : public ::testing::TestWithParam<RaidCase> {};
 TEST_P(RaidExtents, RandomExtentsAlwaysComplete) {
   const RaidCase tc = GetParam();
   sim::Engine eng;
-  net::SwitchedNetwork fabric(eng, net::myrinet());
+  net::HierarchicalNetwork fabric(eng, net::single_switch(net::myrinet()));
   proto::NicMux mux(fabric);
   proto::AmLayer am(mux, proto::AmParams{});
   proto::RpcLayer rpc(am);
@@ -277,7 +277,7 @@ class XfsCoherence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(XfsCoherence, SingleWriterInvariantSurvivesChaos) {
   sim::Engine eng;
-  net::SwitchedNetwork fabric(eng, net::atm_155mbps());
+  net::HierarchicalNetwork fabric(eng, net::single_switch(net::atm_155mbps()));
   proto::NicMux mux(fabric);
   proto::AmLayer am(mux, proto::AmParams{});
   proto::RpcLayer rpc(am);
@@ -427,7 +427,7 @@ class TcpDelivery : public ::testing::TestWithParam<TcpCase> {};
 TEST_P(TcpDelivery, ExactlyOnceInOrderAnySizes) {
   const TcpCase tc = GetParam();
   sim::Engine eng;
-  net::SwitchedNetwork fabric(eng, net::atm_155mbps());
+  net::HierarchicalNetwork fabric(eng, net::single_switch(net::atm_155mbps()));
   proto::NicMux mux(fabric);
   os::Node n0(eng, 0, os::NodeParams{});
   os::Node n1(eng, 1, os::NodeParams{});
@@ -470,7 +470,7 @@ class FailureIsolation : public ::testing::TestWithParam<int> {};
 
 TEST_P(FailureIsolation, CrashOnlyKillsItsOwnPrograms) {
   sim::Engine eng;
-  net::SwitchedNetwork fabric(eng, net::cm5_fabric());
+  net::HierarchicalNetwork fabric(eng, net::single_switch(net::cm5_fabric()));
   proto::NicMux mux(fabric);
   proto::AmParams ap;
   ap.costs = proto::am_cm5();

@@ -5,8 +5,8 @@
 #include <memory>
 #include <vector>
 
+#include "net/hierarchical.hpp"
 #include "net/presets.hpp"
-#include "net/switched.hpp"
 #include "proto/am.hpp"
 #include "proto/nic_mux.hpp"
 #include "proto/rpc.hpp"
@@ -24,8 +24,8 @@ using namespace now::sim::literals;
 // disks form the RAID-5 storage array.
 struct Rig {
   explicit Rig(int n, XfsParams xp = {}) {
-    network = std::make_unique<net::SwitchedNetwork>(engine,
-                                                     net::atm_155mbps());
+    network = std::make_unique<net::HierarchicalNetwork>(
+        engine, net::single_switch(net::atm_155mbps()));
     mux = std::make_unique<proto::NicMux>(*network);
     am = std::make_unique<proto::AmLayer>(*mux, proto::AmParams{});
     rpc = std::make_unique<proto::RpcLayer>(*am);
@@ -48,7 +48,7 @@ struct Rig {
     fs->start();
   }
   sim::Engine engine;
-  std::unique_ptr<net::SwitchedNetwork> network;
+  std::unique_ptr<net::HierarchicalNetwork> network;
   std::unique_ptr<proto::NicMux> mux;
   std::unique_ptr<proto::AmLayer> am;
   std::unique_ptr<proto::RpcLayer> rpc;
