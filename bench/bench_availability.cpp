@@ -94,19 +94,17 @@ fault::FaultPlan outage_plan(sim::Duration period) {
 // with success, or with a timeout/retry-exhaustion failure — so
 // issued - ok is exactly the failure count.
 DesignResult run_central(sim::Duration period, exp::RunContext& ctx,
-                         unsigned threads, const Shape& shape) {
+                         const Shape& shape) {
   ClusterConfig cfg;
   cfg.workstations = shape.workstations;
   cfg.fabric = shape.fabric;
   cfg.building = shape.building;
   cfg.with_glunix = false;
   cfg.fault_plan = outage_plan(period);
-  // --threads is accepted but the workload is not partition-clean: the
-  // CentralServerFs driver lives outside the cluster and touches many
-  // nodes' requests per event, so node-local execution would race.
-  // kAllGlobal keeps every event on the serial path — output is
-  // byte-identical at any --threads value by construction.
-  cfg.threads = threads;
+  // The workload is not partition-clean: the CentralServerFs driver lives
+  // outside the cluster and touches many nodes' requests per event, so
+  // node-local execution would race.  kAllGlobal keeps every event on the
+  // serial path.
   cfg.partitioning = Partitioning::kAllGlobal;
   cfg.run = &ctx;
   Cluster c(cfg);
@@ -161,7 +159,7 @@ DesignResult run_central(sim::Duration period, exp::RunContext& ctx,
 }
 
 DesignResult run_xfs(sim::Duration period, exp::RunContext& ctx,
-                     unsigned threads, const Shape& shape) {
+                     const Shape& shape) {
   ClusterConfig cfg;
   cfg.workstations = shape.workstations;
   cfg.fabric = shape.fabric;
@@ -172,7 +170,6 @@ DesignResult run_xfs(sim::Duration period, exp::RunContext& ctx,
   cfg.stripe_group_size = shape.stripe_group_size;
   cfg.fault_plan = outage_plan(period);
   // xFS manager/RAID traffic spans nodes; see run_central's note.
-  cfg.threads = threads;
   cfg.partitioning = Partitioning::kAllGlobal;
   cfg.run = &ctx;
   Cluster c(cfg);
@@ -248,9 +245,8 @@ int main(int argc, char** argv) {
   const Shape flat = Shape::flat17();
   const auto points = sweep.run(names, [&](now::exp::RunContext& ctx) {
     Point p;
-    p.central =
-        run_central(periods[ctx.task_index], ctx, sweep.threads(), flat);
-    p.xfs = run_xfs(periods[ctx.task_index], ctx, sweep.threads(), flat);
+    p.central = run_central(periods[ctx.task_index], ctx, flat);
+    p.xfs = run_xfs(periods[ctx.task_index], ctx, flat);
     return p;
   });
 
@@ -322,8 +318,8 @@ int main(int argc, char** argv) {
   const auto bpoints = sweep.run(bnames, [&](now::exp::RunContext& ctx) {
     Point p;
     const Shape& s = *placements[ctx.task_index - first_section].second;
-    p.central = run_central(bperiod, ctx, sweep.threads(), s);
-    p.xfs = run_xfs(bperiod, ctx, sweep.threads(), s);
+    p.central = run_central(bperiod, ctx, s);
+    p.xfs = run_xfs(bperiod, ctx, s);
     return p;
   });
 

@@ -18,6 +18,7 @@
 //   --seed S         base seed for exp::derive_seed (default 1).
 #pragma once
 
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdarg>
@@ -26,6 +27,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -206,14 +208,38 @@ class JsonReport {
   bool written_ = false;
 };
 
-/// `--jobs N` (0 = hardware concurrency), or 0 when absent/garbled.
-inline unsigned parse_jobs(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0) {
-      return static_cast<unsigned>(std::strtoul(argv[i + 1], nullptr, 10));
+/// The value of numeric flag `flag` (`--nodes 256`), or `def` when the flag
+/// is absent.  Every numeric flag of every bench parses through here, so a
+/// bad value fails loudly: a flag with no value, or with one that is not a
+/// whole number (or, for a double, a number) in [lo, hi], prints the flag
+/// and the value to stderr and exits with status 2.
+template <typename T>
+T numeric_flag(int argc, char** argv, const char* flag, T def, T lo,
+               T hi = std::numeric_limits<T>::max()) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], flag) != 0) continue;
+    if (i + 1 == argc) {
+      std::fprintf(stderr, "%s: %s needs a value\n", argv[0], flag);
+      std::exit(2);
     }
+    const char* text = argv[i + 1];
+    const char* end = text + std::strlen(text);
+    T v{};
+    const auto [ptr, ec] = std::from_chars(text, end, v);
+    if (ec != std::errc{} || ptr != end || text == end || !(v >= lo) ||
+        !(v <= hi)) {
+      std::fprintf(stderr, "%s: bad value for %s: '%s'\n", argv[0], flag,
+                   text);
+      std::exit(2);
+    }
+    return v;
   }
-  return 0;
+  return def;
+}
+
+/// `--jobs N` (0 = hardware concurrency, the default).
+inline unsigned parse_jobs(int argc, char** argv) {
+  return numeric_flag(argc, argv, "--jobs", 0u, 0u);
 }
 
 /// `--threads N` (default 1): worker threads *inside* each simulation —
@@ -221,14 +247,7 @@ inline unsigned parse_jobs(int argc, char** argv) {
 /// execution.  1 = the serial engine; every bench's stdout is
 /// byte-identical at --threads 1 to builds that predate the flag.
 inline unsigned parse_threads(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      const unsigned n =
-          static_cast<unsigned>(std::strtoul(argv[i + 1], nullptr, 10));
-      return n == 0 ? 1 : n;
-    }
-  }
-  return 1;
+  return numeric_flag(argc, argv, "--threads", 1u, 1u);
 }
 
 /// `--nodes N`: caller-interpreted cluster-size override shared by the
@@ -236,13 +255,7 @@ inline unsigned parse_threads(int argc, char** argv) {
 /// cap on their size axis — see cap_axis — so CI can run the same binary
 /// at 256 nodes that EXPERIMENTS.md runs at 1024+.
 inline std::uint32_t parse_nodes(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--nodes") == 0) {
-      return static_cast<std::uint32_t>(
-          std::strtoul(argv[i + 1], nullptr, 10));
-    }
-  }
-  return 0;
+  return numeric_flag<std::uint32_t>(argc, argv, "--nodes", 0, 1);
 }
 
 /// `--trace <path>`: a recorded trace to replay (native fs or nfsdump-
@@ -258,17 +271,11 @@ inline std::string parse_trace(int argc, char** argv) {
   return {};
 }
 
-/// `--trace-scale S` (default 1): recorded timestamps are divided by S, so
-/// 2 replays the trace at twice the recorded rate.  Values <= 0 fall back
-/// to 1.
+/// `--trace-scale S` (default 1, must be > 0): recorded timestamps are
+/// divided by S, so 2 replays the trace at twice the recorded rate.
 inline double parse_trace_scale(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace-scale") == 0) {
-      const double s = std::strtod(argv[i + 1], nullptr);
-      return s > 0 ? s : 1.0;
-    }
-  }
-  return 1.0;
+  return numeric_flag(argc, argv, "--trace-scale", 1.0,
+                      std::numeric_limits<double>::min());
 }
 
 /// Applies a --nodes cap to a size axis: sizes above the cap are dropped;
@@ -301,32 +308,18 @@ class Sweep {
   Sweep(int argc, char** argv, std::string benchmark)
       : benchmark_(std::move(benchmark)), jobs_(parse_jobs(argc, argv)),
         threads_(parse_threads(argc, argv)) {
+    base_seed_ = numeric_flag<std::uint64_t>(argc, argv, "--seed", 1, 0);
     for (int i = 1; i + 1 < argc; ++i) {
       if (std::strcmp(argv[i], "--sweep-json") == 0) path_ = argv[i + 1];
-      if (std::strcmp(argv[i], "--seed") == 0) {
-        base_seed_ = std::strtoull(argv[i + 1], nullptr, 10);
-      }
     }
   }
   ~Sweep() { write(); }
   Sweep(const Sweep&) = delete;
   Sweep& operator=(const Sweep&) = delete;
 
-  /// Workers the sweep will actually use.  With --threads > 1, capped so
-  /// that jobs x threads stays within the machine: sweep-level and
-  /// intra-run parallelism multiply, and oversubscribing both ways is
-  /// strictly slower than either alone.
-  unsigned jobs() const {
-    unsigned j = now::exp::effective_jobs(jobs_);
-    if (threads_ > 1) {
-      unsigned hw = std::thread::hardware_concurrency();
-      if (hw == 0) hw = 1;
-      const unsigned cap = hw / threads_ > 0 ? hw / threads_ : 1;
-      if (j > cap) j = cap;
-    }
-    return j;
-  }
-  /// Per-simulation worker threads (--threads, default 1).
+  /// Per-simulation worker threads (--threads, default 1).  run_sweep
+  /// caps them at hardware threads / jobs for each point, so jobs x
+  /// threads never oversubscribes the machine.
   unsigned threads() const { return threads_; }
   std::uint64_t base_seed() const { return base_seed_; }
 
@@ -341,6 +334,8 @@ class Sweep {
     opt.first_index = next_index_;
     std::vector<double> wall;
     opt.wall_ms = &wall;
+    unsigned workers = 1;
+    opt.workers = &workers;
     const auto t0 = std::chrono::steady_clock::now();
     auto results = now::exp::run_sweep(names.size(), fn, opt);
     wall_ms_ += std::chrono::duration<double, std::milli>(
@@ -351,6 +346,7 @@ class Sweep {
       points_.emplace_back(names[i], wall[i]);
     }
     next_index_ += names.size();
+    if (workers > workers_) workers_ = workers;
     return results;
   }
 
@@ -362,7 +358,7 @@ class Sweep {
     r.method("now::exp::run_sweep; speedup = busy_ms / wall_ms (serial "
              "compute bought per elapsed unit)");
     for (const auto& [name, ms] : points_) r.value(name, "wall_ms", ms);
-    r.value("aggregate", "jobs", jobs());
+    r.value("aggregate", "jobs", workers_);
     r.value("aggregate", "hardware_concurrency",
             std::thread::hardware_concurrency());
     r.value("aggregate", "points", static_cast<double>(points_.size()));
@@ -379,6 +375,7 @@ class Sweep {
   std::string path_;
   unsigned jobs_ = 0;
   unsigned threads_ = 1;
+  unsigned workers_ = 0;  // most workers any run() call used
   std::uint64_t base_seed_ = 1;
   std::size_t next_index_ = 0;
   double wall_ms_ = 0;

@@ -34,16 +34,14 @@ struct RunResult {
 // Each client issues `per_client` ops with 20 ms think time; reads draw
 // from a shared pool with Zipf-ish reuse, 25 % writes.
 RunResult run_central(std::uint32_t nclients, int per_client,
-                      exp::RunContext& ctx, unsigned threads) {
+                      exp::RunContext& ctx) {
   ClusterConfig cfg;
   cfg.workstations = nclients + 1;  // +1 server
   cfg.with_glunix = false;
-  // --threads is accepted but the workload is not partition-clean: the
-  // CentralServerFs driver lives outside the cluster and every request
-  // crosses client/server node state.  kAllGlobal keeps every event on
-  // the serial path — output is byte-identical at any --threads value by
-  // construction (same pattern as bench_availability).
-  cfg.threads = threads;
+  // The workload is not partition-clean: the CentralServerFs driver lives
+  // outside the cluster and every request crosses client/server node
+  // state.  kAllGlobal keeps every event on the serial path (same pattern
+  // as bench_availability).
   cfg.partitioning = Partitioning::kAllGlobal;
   cfg.run = &ctx;
   Cluster c(cfg);
@@ -91,7 +89,7 @@ RunResult run_central(std::uint32_t nclients, int per_client,
 }
 
 RunResult run_xfs(std::uint32_t nclients, int per_client,
-                  exp::RunContext& ctx, unsigned threads) {
+                  exp::RunContext& ctx) {
   ClusterConfig cfg;
   cfg.workstations = nclients + 1;
   cfg.with_glunix = false;
@@ -99,7 +97,6 @@ RunResult run_xfs(std::uint32_t nclients, int per_client,
   cfg.xfs.client_cache_blocks = 64;
   cfg.xfs.segment_blocks = std::min<std::uint32_t>(nclients, 16);
   // xFS manager/RAID traffic spans nodes; see run_central's note.
-  cfg.threads = threads;
   cfg.partitioning = Partitioning::kAllGlobal;
   cfg.run = &ctx;
   Cluster c(cfg);
@@ -156,8 +153,7 @@ struct ReplayResult {
 // working set, so both designs see exactly the recorded reference string.
 ReplayResult run_replay(const std::string& path, bool use_xfs,
                         bool open_loop, double time_scale,
-                        const replay::TraceSummary& ts, exp::RunContext& ctx,
-                        unsigned threads) {
+                        const replay::TraceSummary& ts, exp::RunContext& ctx) {
   const std::uint32_t nclients = std::max<std::uint32_t>(ts.clients, 1);
   ClusterConfig cfg;
   cfg.workstations = nclients + 1;
@@ -167,9 +163,7 @@ ReplayResult run_replay(const std::string& path, bool use_xfs,
     cfg.xfs.client_cache_blocks = 64;
     cfg.xfs.segment_blocks = std::min<std::uint32_t>(nclients, 16);
   }
-  // Not partition-clean (see run_central's note): kAllGlobal keeps output
-  // byte-identical at any --threads value.
-  cfg.threads = threads;
+  // Not partition-clean (see run_central's note): kAllGlobal.
   cfg.partitioning = Partitioning::kAllGlobal;
   cfg.run = &ctx;
   Cluster c(cfg);
@@ -257,8 +251,8 @@ int main(int argc, char** argv) {
   const auto points = sweep.run(names, [&](now::exp::RunContext& ctx) {
     const std::uint32_t n = client_counts[ctx.task_index];
     Point p;
-    p.central = run_central(n, 120, ctx, sweep.threads());
-    p.xfs = run_xfs(n, 120, ctx, sweep.threads());
+    p.central = run_central(n, 120, ctx);
+    p.xfs = run_xfs(n, 120, ctx);
     return p;
   });
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -330,7 +324,7 @@ int main(int argc, char** argv) {
     const auto rresults = sweep.run(rnames, [&](now::exp::RunContext& ctx) {
       const RPoint& rp = rpoints[ctx.task_index - replay_first];
       return run_replay(trace_path, rp.use_xfs, rp.open_loop, scale, ts,
-                        ctx, sweep.threads());
+                        ctx);
     });
     for (std::size_t i = 0; i < rpoints.size(); ++i) {
       const ReplayResult& r = rresults[i];

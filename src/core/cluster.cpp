@@ -53,10 +53,21 @@ void check_partition_clean(const ClusterConfig& cfg,
         "injection draws from one RNG shared across lanes");
   }
 }
+
+// kAllGlobal runs every event on the cluster engine, so worker threads
+// would go unused; a config that asks for them is rejected, not ignored.
+void check_serial_threads(const ClusterConfig& cfg) {
+  if (cfg.partitioning == Partitioning::kAllGlobal && cfg.threads > 1) {
+    throw std::invalid_argument(
+        "kAllGlobal runs serially: threads = " + std::to_string(cfg.threads) +
+        " needs partitioning = kNodeLocal, or threads = 1");
+  }
+}
 }  // namespace
 
 Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
   assert(config_.workstations >= 2);
+  check_serial_threads(config_);
   if (config_.run != nullptr) {
     assert(exp::current_context() == config_.run &&
            "ClusterConfig::run must be installed on the constructing "

@@ -55,9 +55,9 @@ enum class Fabric {
 
 /// Where a node's events execute in a multi-threaded run.
 enum class Partitioning {
-  /// Everything runs on the cluster's own engine — the serial path,
-  /// regardless of `threads`.  Always byte-identical to a 1-thread run;
-  /// the only safe choice when nodes share state outside the simulated
+  /// Everything runs on the cluster's own engine — the serial path; the
+  /// Cluster constructor throws std::invalid_argument if `threads` > 1.
+  /// The only safe choice when nodes share state outside the simulated
   /// network (cluster services, external driver objects).
   kAllGlobal,
   /// Each node's events run on its partition lane; cross-node interaction
@@ -104,10 +104,10 @@ struct ClusterConfig {
 
   std::uint64_t seed = 1;
 
-  /// Worker threads for intra-run parallel execution.  Takes effect only
-  /// with partitioning = kNodeLocal; clamped to the workstation count and
-  /// to the run context's thread_budget (when part of a sweep).  1 = the
-  /// serial engine, byte-identical to every release so far.
+  /// Worker threads for intra-run parallel execution.  Only kNodeLocal
+  /// accepts more than 1; clamped to the workstation count and to the run
+  /// context's thread_budget (when part of a sweep).  1 = the serial
+  /// engine, byte-identical to every release so far.
   unsigned threads = 1;
   Partitioning partitioning = Partitioning::kAllGlobal;
 

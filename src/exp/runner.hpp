@@ -43,6 +43,9 @@ struct SweepOptions {
   /// Wall times are measurement, not results: they vary run to run and
   /// must never feed back into simulation state or printed output.
   std::vector<double>* wall_ms = nullptr;
+  /// When set, receives the number of worker threads the tasks ran on
+  /// (1 on the serial path).
+  unsigned* workers = nullptr;
 };
 
 /// Runs task(ctx) for indices 0..n-1 and returns the results in index
@@ -63,6 +66,8 @@ auto run_sweep(std::size_t n, Fn&& task, const SweepOptions& opt = {})
   unsigned jobs_used = jobs;
   if (n < jobs_used) jobs_used = static_cast<unsigned>(n);
   if (jobs_used < 1) jobs_used = 1;
+  const bool serial = jobs <= 1 || n <= 1;
+  if (opt.workers != nullptr) *opt.workers = serial ? 1 : jobs_used;
 
   const auto run_one = [&](std::size_t i) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -83,7 +88,7 @@ auto run_sweep(std::size_t n, Fn&& task, const SweepOptions& opt = {})
     }
   };
 
-  if (jobs <= 1 || n <= 1) {
+  if (serial) {
     for (std::size_t i = 0; i < n; ++i) run_one(i);
   } else {
     WorkStealingPool pool(jobs_used);

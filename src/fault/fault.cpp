@@ -41,22 +41,22 @@ FaultInjector::FaultInjector(FaultTargets targets, std::uint64_t seed,
     : t_(std::move(targets)),
       seed_(seed),
       policy_(policy),
-      obs_crashes_(&obs::metrics().counter("fault.node_crashes")),
-      obs_restarts_(&obs::metrics().counter("fault.node_restarts")),
-      obs_link_downs_(&obs::metrics().counter("fault.link_downs")),
-      obs_link_ups_(&obs::metrics().counter("fault.link_ups")),
-      obs_disk_fails_(&obs::metrics().counter("fault.disk_fails")),
-      obs_disk_replacements_(
-          &obs::metrics().counter("fault.disk_replacements")),
-      obs_owner_returns_(&obs::metrics().counter("fault.owner_returns")),
-      obs_takeovers_(&obs::metrics().counter("fault.takeovers")),
-      obs_rebuilds_(&obs::metrics().counter("fault.rebuilds")),
-      obs_nodes_down_(&obs::metrics().gauge("fault.nodes_down")),
       obs_downtime_ms_(&obs::metrics().summary("fault.downtime_ms")),
       obs_rebuild_ms_(&obs::metrics().summary("fault.rebuild_ms")),
       obs_takeover_ms_(&obs::metrics().summary("fault.takeover_ms")),
       obs_track_(obs::tracer().track("fault")) {
   assert(t_.engine != nullptr && !t_.nodes.empty());
+  obs_pub_.counter("fault.node_crashes", stats_.node_crashes)
+      .counter("fault.node_restarts", stats_.node_restarts)
+      .counter("fault.link_downs", stats_.link_downs)
+      .counter("fault.link_ups", stats_.link_ups)
+      .counter("fault.disk_fails", stats_.disk_fails)
+      .counter("fault.disk_replacements", stats_.disk_replacements)
+      .counter("fault.owner_returns", stats_.owner_returns)
+      .counter("fault.takeovers", stats_.manager_takeovers)
+      .counter("fault.rebuilds", stats_.rebuilds_started)
+      .gauge("fault.nodes_down",
+             [this] { return static_cast<double>(nodes_down()); });
 }
 
 os::Node* FaultInjector::node(net::NodeId n) const {
@@ -170,8 +170,6 @@ void FaultInjector::crash_node(net::NodeId n) {
   nd->crash();
   down_since_[n] = t_.engine->now();
   ++stats_.node_crashes;
-  obs_crashes_->inc();
-  obs_nodes_down_->set(static_cast<double>(down_since_.size()));
   obs::tracer().instant(n, obs_track_, "crash");
 
   if (t_.storage != nullptr && t_.storage->is_member(n) &&
@@ -204,7 +202,6 @@ void FaultInjector::auto_takeover_after(net::NodeId failed) {
         t_.xfs->manager_takeover(
             failed, succ, [this, succ, crashed_at] {
               ++stats_.manager_takeovers;
-              obs_takeovers_->inc();
               obs_takeover_ms_->observe(
                   sim::to_ms(t_.engine->now() - crashed_at));
               obs::tracer().complete(succ, obs_track_, "takeover",
@@ -225,8 +222,6 @@ void FaultInjector::restart_node(net::NodeId n) {
     down_since_.erase(it);
   }
   ++stats_.node_restarts;
-  obs_restarts_->inc();
-  obs_nodes_down_->set(static_cast<double>(down_since_.size()));
 
   if (policy_.auto_rebuild && t_.storage != nullptr &&
       t_.storage->member_down(n) && t_.storage->redundant()) {
@@ -241,7 +236,6 @@ void FaultInjector::start_rebuild(net::NodeId member) {
   os::Node* rep = node(member);
   if (rep == nullptr || !rep->alive()) return;
   ++stats_.rebuilds_started;
-  obs_rebuilds_->inc();
   const sim::SimTime began = t_.engine->now();
   t_.storage->reconstruct_member(
       member, *rep,
@@ -261,7 +255,6 @@ void FaultInjector::fail_link(net::NodeId n) {
   if (t_.network == nullptr || !t_.network->link_up(n)) return;
   t_.network->set_link_up(n, false);
   ++stats_.link_downs;
-  obs_link_downs_->inc();
   obs::tracer().instant(n, obs_track_, "link_down");
 }
 
@@ -269,7 +262,6 @@ void FaultInjector::restore_link(net::NodeId n) {
   if (t_.network == nullptr || t_.network->link_up(n)) return;
   t_.network->set_link_up(n, true);
   ++stats_.link_ups;
-  obs_link_ups_->inc();
   obs::tracer().instant(n, obs_track_, "link_up");
 }
 
@@ -280,7 +272,6 @@ void FaultInjector::fail_disk(net::NodeId n) {
   }
   t_.storage->member_failed(n);
   ++stats_.disk_fails;
-  obs_disk_fails_->inc();
   obs::tracer().instant(n, obs_track_, "disk_fail");
 }
 
@@ -292,7 +283,6 @@ void FaultInjector::replace_disk(net::NodeId n) {
   os::Node* nd = node(n);
   if (nd == nullptr || !nd->alive()) return;
   ++stats_.disk_replacements;
-  obs_disk_replacements_->inc();
   obs::tracer().instant(n, obs_track_, "disk_replace");
   start_rebuild(n);
 }
@@ -302,7 +292,6 @@ void FaultInjector::owner_returned(net::NodeId n) {
   if (nd == nullptr || !nd->alive()) return;  // nobody types on a dead box
   nd->user_activity();
   ++stats_.owner_returns;
-  obs_owner_returns_->inc();
   obs::tracer().instant(n, obs_track_, "owner_return");
   // GLUnix's 2-second console poll sees the activity and displaces any
   // guest on its own; network RAM must give the DRAM back too.

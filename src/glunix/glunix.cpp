@@ -29,19 +29,18 @@ Glunix::Glunix(proto::RpcLayer& rpc, std::vector<os::Node*> nodes,
                GlunixParams params, std::size_t master_index)
     : rpc_(rpc), nodes_(std::move(nodes)), params_(params),
       master_(master_index), cost_(params.migration),
-      obs_launched_(&obs::metrics().counter("glunix.launched")),
-      obs_completed_(&obs::metrics().counter("glunix.completed")),
-      obs_migrations_(&obs::metrics().counter("glunix.migrations")),
-      obs_crash_restarts_(&obs::metrics().counter("glunix.crash_restarts")),
-      obs_gangs_launched_(&obs::metrics().counter("glunix.gangs_launched")),
-      obs_gangs_completed_(
-          &obs::metrics().counter("glunix.gangs_completed")),
-      obs_gang_pauses_(&obs::metrics().counter("glunix.gang_pauses")),
-      obs_owner_evictions_(
-          &obs::metrics().counter("glunix.owner_evictions")),
-      obs_idle_nodes_(&obs::metrics().gauge("glunix.idle_nodes")),
       obs_track_(obs::tracer().track("glunix")) {
   assert(!nodes_.empty() && master_ < nodes_.size());
+  obs_pub_.counter("glunix.launched", stats_.launched)
+      .counter("glunix.completed", stats_.completed)
+      .counter("glunix.migrations", stats_.migrations)
+      .counter("glunix.crash_restarts", stats_.crash_restarts)
+      .counter("glunix.gangs_launched", stats_.gangs_launched)
+      .counter("glunix.gangs_completed", stats_.gangs_completed)
+      .counter("glunix.gang_pauses", stats_.gang_pauses)
+      .counter("glunix.owner_evictions", stats_.owner_evictions)
+      .gauge("glunix.idle_nodes",
+             [this] { return static_cast<double>(idle_node_count()); });
   info_.resize(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i) info_[i].node = nodes_[i];
 }
@@ -75,7 +74,6 @@ void Glunix::start() {
             const sim::SimTime submitted = gang.submitted_at;
             gangs_.erase(git);
             ++stats_.gangs_completed;
-            obs_gangs_completed_->inc();
             obs::tracer().complete(from, obs_track_, "glunix.gang",
                                    submitted, engine().now());
             if (cb) cb();
@@ -89,7 +87,6 @@ void Glunix::start() {
         Guest g = std::move(it->second);
         guests_.erase(it);
         ++stats_.completed;
-        obs_completed_->inc();
         obs::tracer().complete(from, obs_track_, "glunix.job",
                                g.submitted_at, engine().now());
         for (NodeInfo& ni : info_) {
@@ -204,16 +201,12 @@ void Glunix::poll_tick() {
             // against the machine's disturbance budget.
             ++info_[i].evictions_in_window;
             ++stats_.owner_evictions;
-            obs_owner_evictions_->inc();
             obs::tracer().instant(info_[i].node->id(), obs_track_,
                                   "owner_eviction");
             displace(i, /*node_crashed=*/false);
           }
         },
         /*timeout=*/params_.poll_interval, [] {});
-  }
-  if (obs::enabled()) {
-    obs_idle_nodes_->set(static_cast<double>(idle_node_count()));
   }
   engine().schedule_in(params_.poll_interval, [this] {
     poll_tick();
@@ -228,9 +221,6 @@ void Glunix::declare_down(std::size_t idx) {
   ni.reported_idle = false;
   if (ni.hosting != 0) {
     displace(idx, /*node_crashed=*/true);
-  }
-  if (obs::enabled()) {
-    obs_idle_nodes_->set(static_cast<double>(idle_node_count()));
   }
   obs::tracer().instant(ni.node->id(), obs_track_, "node_down");
   if (on_down_) on_down_(ni.node->id());
@@ -274,7 +264,6 @@ JobId Glunix::run_remote(sim::Duration work, std::uint64_t memory_bytes,
   g.done = std::move(done);
   guests_.emplace(id, std::move(g));
   ++stats_.launched;
-  obs_launched_->inc();
   place_guest(id);
   return id;
 }
@@ -349,7 +338,6 @@ void Glunix::evict(JobId id, bool node_crashed) {
     // Progress since the last checkpoint is gone.
     g.remaining = g.checkpointed_remaining;
     ++stats_.crash_restarts;
-    obs_crash_restarts_->inc();
     if (g.where != net::kInvalidNode) {
       obs::tracer().instant(g.where, obs_track_, "crash_restart");
     }
@@ -363,7 +351,6 @@ void Glunix::evict(JobId id, bool node_crashed) {
                 [](std::any) {});
     }
     ++stats_.migrations;
-    obs_migrations_->inc();
     if (g.where != net::kInvalidNode) {
       obs::tracer().instant(g.where, obs_track_, "migrate");
     }
@@ -428,7 +415,6 @@ JobId Glunix::run_parallel(std::uint32_t width, sim::Duration work_per_rank,
   gang.done = std::move(done);
   gangs_.emplace(id, std::move(gang));
   ++stats_.gangs_launched;
-  obs_gangs_launched_->inc();
   try_start_gang(id);
   return id;
 }
@@ -504,7 +490,6 @@ void Glunix::gang_pause(JobId id) {
   Gang& gang = gangs_.at(id);
   if (gang.suspended_count++ > 0) return;  // already paused
   ++stats_.gang_pauses;
-  obs_gang_pauses_->inc();
   obs::tracer().instant(master_node(), obs_track_, "gang_pause");
   gang_account(gang);
   for (auto& r : gang.ranks) {
@@ -541,11 +526,9 @@ void Glunix::gang_displace(JobId id, std::size_t rank, bool crashed) {
     rpc_.call(master_node(), info_[r.where].node->id(), kGluKill, 32,
               r.pid, [](std::any) {});
     ++stats_.migrations;
-    obs_migrations_->inc();
     obs::tracer().instant(info_[r.where].node->id(), obs_track_, "migrate");
   } else if (crashed) {
     ++stats_.crash_restarts;
-    obs_crash_restarts_->inc();
     if (r.where != SIZE_MAX) {
       obs::tracer().instant(info_[r.where].node->id(), obs_track_,
                             "crash_restart");

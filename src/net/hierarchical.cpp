@@ -10,9 +10,9 @@ HierarchicalNetwork::HierarchicalNetwork(sim::Engine& engine,
                                          HierarchicalParams params)
     : Network(engine),
       params_(params),
-      topo_(params.topo),
-      obs_rack_local_(&obs::metrics().counter("net.hier.rack_local")),
-      obs_cross_rack_(&obs::metrics().counter("net.hier.cross_rack")) {
+      topo_(params.topo) {
+  hier_pub_.counter("net.hier.rack_local", hstats_.rack_local_packets)
+      .counter("net.hier.cross_rack", hstats_.cross_rack_packets);
   if (topo_.configured_racks() > 0) ensure_racks(topo_.configured_racks());
 }
 
@@ -74,8 +74,6 @@ void HierarchicalNetwork::send(Packet pkt) {
       ++hstats_.cross_rack_packets;
     }
   }
-  obs_sent_->inc();
-  (local ? obs_rack_local_ : obs_cross_rack_)->inc();
 
   const sim::Duration ser = params_.fabric.serialization(pkt.size_bytes);
 

@@ -72,7 +72,6 @@ void Network::deliver_now(Packet&& pkt) {
       sim::SpinGuard g(stats_lock_);
       ++stats_.link_drops;
     }
-    obs_link_drops_->inc();
     obs::tracer().instant_at(pkt.dst, obs_track_, "link_drop", at);
     return;
   }
@@ -82,7 +81,6 @@ void Network::deliver_now(Packet&& pkt) {
       sim::SpinGuard g(stats_lock_);
       ++stats_.packets_dropped;
     }
-    obs_dropped_->inc();
     obs::tracer().instant_at(pkt.dst, obs_track_, "rx_drop", at);
     return;
   }
@@ -92,8 +90,6 @@ void Network::deliver_now(Packet&& pkt) {
     ++stats_.packets_delivered;
     stats_.wire_time_us.add(sim::to_us(at - pkt.sent_at));
   }
-  obs_delivered_->inc();
-  obs_wire_us_->observe(sim::to_us(at - pkt.sent_at));
   obs::tracer().complete(pkt.dst, obs_track_, "pkt", pkt.sent_at, at);
   p->handler(std::move(pkt));
 }

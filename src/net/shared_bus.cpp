@@ -8,7 +8,6 @@ namespace now::net {
 void SharedBusNetwork::send(Packet pkt) {
   assert(attached(pkt.src) && attached(pkt.dst));
   ++stats_.packets_sent;
-  obs_sent_->inc();
   stats_.bytes_sent += pkt.size_bytes;
   pkt.sent_at = engine_.now();
 

@@ -55,13 +55,15 @@ NetworkRamPager::NetworkRamPager(os::Node& client, std::uint32_t page_bytes,
       rpc_(rpc), readahead_(readahead),
       disk_fallback_(client, page_bytes),
       readahead_window_(readahead_window),
-      obs_remote_reads_(&obs::metrics().counter("netram.remote_reads")),
-      obs_remote_writes_(&obs::metrics().counter("netram.remote_writes")),
-      obs_disk_fallbacks_(&obs::metrics().counter("netram.disk_fallbacks")),
-      obs_prefetch_hits_(&obs::metrics().counter("netram.prefetch_hits")),
-      obs_rehomed_(&obs::metrics().counter("netram.rehomed_pages")),
-      obs_lost_(&obs::metrics().counter("netram.lost_pages")),
       obs_track_(obs::tracer().track("netram")) {
+  // Both fallback directions publish under one path; the registry sums them.
+  obs_pub_.counter("netram.remote_reads", stats_.remote_reads)
+      .counter("netram.remote_writes", stats_.remote_writes)
+      .counter("netram.disk_fallbacks", stats_.disk_fallback_reads)
+      .counter("netram.disk_fallbacks", stats_.disk_fallback_writes)
+      .counter("netram.prefetch_hits", stats_.prefetch_hits)
+      .counter("netram.rehomed_pages", stats_.rehomed_pages)
+      .counter("netram.lost_pages", stats_.lost_pages);
   registry_.add_observer([this](net::NodeId id, bool graceful) {
     on_donor_gone(id, graceful);
   });
@@ -100,7 +102,6 @@ void NetworkRamPager::page_out(std::uint64_t page,
 void NetworkRamPager::store_remote(std::uint64_t page, net::NodeId donor,
                                    std::function<void()> done) {
   ++stats_.remote_writes;
-  obs_remote_writes_->inc();
   (void)page;
   const sim::SimTime t0 = client_.engine().now();
   rpc_.call(client_.id(), donor, kNetRamWrite, page_bytes_ + 64,
@@ -115,7 +116,6 @@ void NetworkRamPager::store_remote(std::uint64_t page, net::NodeId donor,
 void NetworkRamPager::store_disk(std::uint64_t page,
                                  std::function<void()> done) {
   ++stats_.disk_fallback_writes;
-  obs_disk_fallbacks_->inc();
   disk_fallback_.page_out(page, std::move(done));
 }
 
@@ -125,7 +125,6 @@ void NetworkRamPager::page_in(std::uint64_t page,
   if (prefetched_.erase(page) > 0) {
     // Readahead already streamed it in; only the local copy remains.
     ++stats_.prefetch_hits;
-    obs_prefetch_hits_->inc();
     client_.engine().schedule_in(client_.copy_cost(page_bytes_),
                                  std::move(done));
     return;
@@ -139,12 +138,10 @@ void NetworkRamPager::page_in(std::uint64_t page,
   }
   if (it->second.on_disk) {
     ++stats_.disk_fallback_reads;
-    obs_disk_fallbacks_->inc();
     disk_fallback_.page_in(page, std::move(done));
     return;
   }
   ++stats_.remote_reads;
-  obs_remote_reads_->inc();
   const sim::SimTime t0 = client_.engine().now();
   rpc_.call(client_.id(), it->second.donor, kNetRamRead, 64,
             std::uint32_t{page_bytes_},
@@ -184,7 +181,6 @@ void NetworkRamPager::on_donor_gone(net::NodeId id, bool graceful) {
       // Re-home: fetch from the departing donor and push to a new one (or
       // disk).  Costs one read plus one write.
       ++stats_.rehomed_pages;
-      obs_rehomed_->inc();
       const net::NodeId fresh = registry_.acquire(page_bytes_, client_.id());
       const std::uint64_t p = page;
       auto finish = [this, p, fresh] {
@@ -203,7 +199,6 @@ void NetworkRamPager::on_donor_gone(net::NodeId id, bool graceful) {
     } else {
       // Crash: contents gone; the page reads as zero-fill next time.
       ++stats_.lost_pages;
-      obs_lost_->inc();
       loc = Location{};
       // Erasing while iterating is awkward; mark instead.
     }

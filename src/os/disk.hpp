@@ -45,11 +45,15 @@ class Disk {
 
   Disk(sim::Engine& engine, DiskParams params)
       : engine_(engine), params_(params),
-        obs_reads_(&obs::metrics().counter("os.disk.reads")),
-        obs_writes_(&obs::metrics().counter("os.disk.writes")),
-        obs_service_us_(&obs::metrics().summary("os.disk.service_us")),
-        obs_queue_(&obs::metrics().gauge("os.disk.queue_depth")),
-        obs_track_(obs::tracer().track("os")) {}
+        obs_track_(obs::tracer().track("os")) {
+    // Every disk publishes under the same paths: the registry sums the
+    // counts and queue depths and merges the service times cluster-wide.
+    obs_pub_.counter("os.disk.reads", reads_)
+        .counter("os.disk.writes", writes_)
+        .summary("os.disk.service_us", service_us_)
+        .gauge("os.disk.queue_depth",
+               [this] { return static_cast<double>(queue_depth()); });
+  }
   Disk(const Disk&) = delete;
   Disk& operator=(const Disk&) = delete;
 
@@ -101,10 +105,7 @@ class Disk {
   std::uint64_t writes_ = 0;
   sim::Summary service_us_;
   sim::Summary response_us_;
-  obs::Counter* obs_reads_;
-  obs::Counter* obs_writes_;
-  obs::Summary* obs_service_us_;
-  obs::Gauge* obs_queue_;
+  obs::Publication obs_pub_;
   obs::TrackId obs_track_;
 };
 

@@ -8,11 +8,11 @@ AddressSpace::AddressSpace(sim::Engine& engine, std::uint32_t frames,
                            std::uint32_t page_bytes, Pager& pager)
     : engine_(engine), frames_(frames), page_bytes_(page_bytes),
       pager_(pager),
-      obs_faults_(&obs::metrics().counter("os.vm.faults")),
-      obs_evictions_(&obs::metrics().counter("os.vm.evictions")),
-      obs_writebacks_(&obs::metrics().counter("os.vm.writebacks")),
       obs_track_(obs::tracer().track("os")) {
   assert(frames > 0 && page_bytes > 0);
+  obs_pub_.counter("os.vm.faults", stats_.faults)
+      .counter("os.vm.evictions", stats_.evictions)
+      .counter("os.vm.writebacks", stats_.writebacks);
 }
 
 bool AddressSpace::resident(std::uint64_t page) const {
@@ -64,14 +64,12 @@ void AddressSpace::evict_one(std::function<void()> then) {
   const bool dirty = it->second.dirty;
   table_.erase(it);
   ++stats_.evictions;
-  obs_evictions_->inc();
   if (dirty) {
     // Asynchronous writeback, as a real page daemon's write buffer would
     // do: the faulting process does not wait for the victim to land, but
     // the writeback still occupies the backing store (so a thrashing swap
     // disk serves the write before the next read — queueing is preserved).
     ++stats_.writebacks;
-    obs_writebacks_->inc();
     pager_.page_out(victim, [] {});
   }
   then();
@@ -86,7 +84,6 @@ void AddressSpace::fault(std::uint64_t page, bool write,
   it->second.push_back(std::move(done));
   if (!fresh) return;  // fetch already in progress; piggyback
   ++stats_.faults;
-  obs_faults_->inc();
   if (obs::tracer().enabled()) {
     // Fault service span: fault instant to the page landing in memory.
     const sim::SimTime t0 = engine_.now();

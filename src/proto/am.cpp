@@ -7,15 +7,15 @@ namespace now::proto {
 
 AmLayer::AmLayer(NicMux& mux, AmParams params, std::uint64_t seed)
     : mux_(mux), params_(params), rng_(seed, /*stream=*/0x616d6c),
-      obs_sent_(&obs::metrics().counter("am.sent")),
-      obs_retransmits_(&obs::metrics().counter("am.retransmits")),
-      obs_handled_(&obs::metrics().counter("am.handled")),
-      obs_stalls_(&obs::metrics().counter("am.credit_stalls")),
-      obs_epoch_bumps_(&obs::metrics().counter("am.epoch_bumps")),
-      obs_pair_failures_(&obs::metrics().counter("am.pair_failures")),
-      obs_latency_us_(&obs::metrics().summary("am.msg_latency_us")),
       obs_track_(obs::tracer().track("proto")) {
   assert(params_.window > 0 && params_.mtu_bytes > 0);
+  obs_pub_.counter("am.sent", stats_.sent)
+      .counter("am.retransmits", stats_.retransmits)
+      .counter("am.handled", stats_.handled)
+      .counter("am.credit_stalls", stats_.stalled_sends)
+      .counter("am.epoch_bumps", stats_.epoch_bumps)
+      .counter("am.pair_failures", stats_.pair_failures)
+      .summary("am.msg_latency_us", stats_.msg_latency_us);
   tag_ = mux_.register_layer(
       [this](net::Packet&& pkt) { on_packet(std::move(pkt)); });
 }
@@ -87,7 +87,6 @@ void AmLayer::send_from_process(os::ProcessId pid, EndpointId src,
     sim::SpinGuard g(stats_lock_);
     ++stats_.stalled_sends;
   }
-  obs_stalls_->inc();
   obs::tracer().instant(ep(src).node->id(), obs_track_, "credit_stall");
   // Spin-poll until the window opens.  The process stays runnable — and
   // therefore keeps draining its own endpoint — which is both what real
@@ -150,7 +149,6 @@ void AmLayer::pump_window(EndpointId src, EndpointId dst, PairTx& tx) {
       sim::SpinGuard g(stats_lock_);
       ++stats_.sent;
     }
-    obs_sent_->inc();
     if (f.on_injected) {
       auto cb = std::move(f.on_injected);
       f.on_injected = nullptr;
@@ -210,7 +208,6 @@ void AmLayer::on_timeout(EndpointId src, EndpointId dst) {
       sim::SpinGuard g(stats_lock_);
       ++stats_.pair_failures;
     }
-    obs_pair_failures_->inc();
     tx.failed = true;
     new_epoch(src, tx);
     if (on_failure_) on_failure_(src, dst);
@@ -224,13 +221,15 @@ void AmLayer::on_timeout(EndpointId src, EndpointId dst) {
       sim::SpinGuard g(stats_lock_);
       ++stats_.retransmits;
     }
-    obs_retransmits_->inc();
   }
   arm_timer(src, dst, tx);
 }
 
 void AmLayer::new_epoch(EndpointId src, PairTx& tx) {
-  obs_epoch_bumps_->inc();
+  {
+    sim::SpinGuard g(stats_lock_);
+    ++stats_.epoch_bumps;
+  }
   obs::tracer().instant(ep(src).node->id(), obs_track_, "epoch_bump");
   tx.unacked.clear();
   tx.pending.clear();
@@ -346,8 +345,6 @@ void AmLayer::handle_now(Endpoint& e, EndpointId dst_ep, WireData&& d) {
             ++stats_.handled;
             stats_.msg_latency_us.add(sim::to_us(at - injected_at));
           }
-          obs_handled_->inc();
-          obs_latency_us_->observe(sim::to_us(at - injected_at));
           // Full message lifetime, injection to handler start.
           obs::tracer().complete(node->id(), obs_track_, "am.msg", injected_at,
                                  at);

@@ -22,7 +22,6 @@ const char* to_string(ThinkDist d) {
   switch (d) {
     case ThinkDist::kExponential: return "exponential";
     case ThinkDist::kPareto: return "pareto";
-    case ThinkDist::kLognormal: return "lognormal";
   }
   return "?";
 }
@@ -193,13 +192,6 @@ sim::Duration ClientPopulation::think_time(std::uint32_t client) {
       // but the tail parks a client for hundreds of means at a time.
       ms = rng.pareto(params_.pareto_alpha, mean / 3.0, mean * 200.0);
       break;
-    case ThinkDist::kLognormal: {
-      // mu chosen so E[exp(N(mu, sigma^2))] = mean.
-      const double sigma = params_.lognormal_sigma;
-      const double mu = std::log(mean) - sigma * sigma / 2.0;
-      ms = std::exp(rng.normal(mu, sigma));
-      break;
-    }
   }
   return std::max<sim::Duration>(1, sim::from_ms(ms));
 }

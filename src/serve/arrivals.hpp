@@ -12,8 +12,8 @@
 //                       diurnal load curve (thinned non-homogeneous
 //                       Poisson), independent of completions;
 //   * closed clients  — the classic loop (issue, wait, think, repeat)
-//                       with exponential / bounded-Pareto / lognormal
-//                       think times, for hybrid populations;
+//                       with exponential / bounded-Pareto think times,
+//                       for hybrid populations;
 //   * sessions        — optional login/logout churn riding the diurnal
 //                       curve: clients only generate traffic while a
 //                       session is live, and logins cluster at the
@@ -45,7 +45,6 @@ namespace now::serve {
 enum class ThinkDist : std::uint8_t {
   kExponential,  // memoryless think times (Poisson closed loop)
   kPareto,       // bounded Pareto: heavy-tailed bursts of activity
-  kLognormal,    // multiplicative human timing (log-space normal)
 };
 
 const char* to_string(ThinkDist d);
@@ -94,8 +93,6 @@ struct PopulationParams {
   double think_mean_ms = 50.0;
   /// kPareto shape (smaller = heavier tail; support [mean/3, 200*mean]).
   double pareto_alpha = 1.5;
-  /// kLognormal log-space standard deviation (mean is preserved).
-  double lognormal_sigma = 1.0;
   DiurnalCurve diurnal;
   /// Login/logout churn layer (applies to open and closed clients).
   SessionParams sessions;

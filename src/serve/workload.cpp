@@ -46,7 +46,8 @@ ServeWorkload::ServeWorkload(sim::Engine& engine, Backends backends,
     (void)have_read;
     (void)have_write;
   }
-  sessions_gauge_ = &obs::metrics().gauge("serve.sessions_active");
+  obs_pub_.gauge("serve.sessions_active",
+                 [this] { return static_cast<double>(sessions_active()); });
   if (b_.xfs != nullptr) xfs_failed_seen_ = b_.xfs->stats().failed_ops;
 }
 
@@ -85,9 +86,7 @@ void ServeWorkload::start() {
     for (std::uint32_t r = 0; r < cfg_.replay.clients; ++r) arm_replay(r);
   }
   if (!pop_.params().sessions.enabled()) {
-    // No churn: the whole population is logged in for the whole run.
-    sessions_gauge_->set(static_cast<double>(pop_.clients()));
-    return;
+    return;  // no churn: the whole population is logged in all run
   }
   presence_.reserve(pop_.clients());
   for (std::uint32_t c = 0; c < pop_.clients(); ++c) {
@@ -131,16 +130,14 @@ void ServeWorkload::arm_replay(std::uint32_t replay_client) {
 
 void ServeWorkload::arm_presence(std::uint32_t client,
                                  std::optional<Session> window) {
-  // Login/logout bookkeeping rides the client's own lane; Gauge::add is
-  // atomic and commutative, and the lane tally is shard-local, so the
-  // live headcount needs no lock and no cross-lane message.
+  // Login/logout bookkeeping rides the client's own lane; the lane tally
+  // is shard-local, so the live headcount needs no lock and no cross-lane
+  // message.
   if (!window) return;
   engine_of(client).schedule_at(
       window->login, [this, client, logout = window->logout] {
-        sessions_gauge_->add(1.0);
         ++lane_counts_[lane_of(client)].sessions;
         engine_of(client).schedule_at(logout, [this, client] {
-          sessions_gauge_->add(-1.0);
           --lane_counts_[lane_of(client)].sessions;
           arm_presence(client, presence_[client].next());
         });

@@ -20,11 +20,11 @@ CentralServerFs::CentralServerFs(proto::RpcLayer& rpc, os::Node& server,
                                  CentralFsParams params)
     : rpc_(rpc), server_(server), params_(params),
       server_cache_(params.server_cache_blocks),
-      obs_reads_(&obs::metrics().counter("cfs.reads")),
-      obs_writes_(&obs::metrics().counter("cfs.writes")),
-      obs_failed_ops_(&obs::metrics().counter("cfs.failed_ops")),
-      obs_cold_restarts_(&obs::metrics().counter("central.cold_restarts")),
       obs_track_(obs::tracer().track("cfs")) {
+  obs_pub_.counter("cfs.reads", stats_.reads)
+      .counter("cfs.writes", stats_.writes)
+      .counter("cfs.failed_ops", stats_.failed_ops)
+      .counter("central.cold_restarts", stats_.cold_restarts);
   for (os::Node* c : clients) {
     clients_.emplace(c->id(), ClientState(params_.client_cache_blocks, c));
   }
@@ -50,7 +50,6 @@ void CentralServerFs::server_crashed() {
 
 void CentralServerFs::server_restarted() {
   count(&CentralFsStats::cold_restarts);
-  obs_cold_restarts_->inc();
   obs::tracer().instant(server_.id(), obs_track_, "cold_restart");
 }
 
@@ -91,7 +90,6 @@ void CentralServerFs::install_server() {
 void CentralServerFs::read(net::NodeId client, BlockId b,
                            std::function<void(bool)> done) {
   count(&CentralFsStats::reads);
-  obs_reads_->inc();
   ClientState& cs = cstate(client);
   if (cs.cache.touch(b)) {
     count(&CentralFsStats::local_hits);
@@ -115,7 +113,6 @@ void CentralServerFs::read(net::NodeId client, BlockId b,
       [this, client, done]() mutable {
         // The building just lost its file system.
         count(&CentralFsStats::failed_ops);
-        obs_failed_ops_->inc();
         obs::tracer().instant(client, obs_track_, "op_failed");
         done(false);
       });
@@ -124,7 +121,6 @@ void CentralServerFs::read(net::NodeId client, BlockId b,
 void CentralServerFs::write(net::NodeId client, BlockId b,
                             std::function<void(bool)> done) {
   count(&CentralFsStats::writes);
-  obs_writes_->inc();
   cstate(client).cache.insert(b);
   rpc_.call(
       client, server_.id(), kCfsWrite, params_.block_bytes + 48,
@@ -132,7 +128,6 @@ void CentralServerFs::write(net::NodeId client, BlockId b,
       [done](std::any) mutable { done(true); }, kOpTimeout,
       [this, client, done]() mutable {
         count(&CentralFsStats::failed_ops);
-        obs_failed_ops_->inc();
         obs::tracer().instant(client, obs_track_, "op_failed");
         done(false);
       });

@@ -8,28 +8,12 @@ namespace now::xfs {
 LogStore::LogStore(raid::Storage& storage,
                    std::uint32_t segment_blocks, std::uint32_t block_bytes)
     : storage_(storage), segment_blocks_(segment_blocks),
-      block_bytes_(block_bytes),
-      obs_segments_written_(
-          &obs::metrics().counter("xfs.log.segments_written")),
-      obs_segments_cleaned_(
-          &obs::metrics().counter("xfs.log.segments_cleaned")),
-      obs_blocks_read_(&obs::metrics().counter("xfs.log.blocks_read")),
-      obs_util_(&obs::metrics().gauge("xfs.log.utilization")) {
+      block_bytes_(block_bytes) {
   assert(segment_blocks_ > 0 && block_bytes_ > 0);
-}
-
-void LogStore::update_util_gauge() {
-  if (!obs::enabled()) return;
-  std::uint64_t live = 0;
-  std::uint64_t allocated = 0;
-  for (const Segment& seg : segments_) {
-    if (seg.free) continue;
-    live += seg.live_count;
-    allocated += segment_blocks_;
-  }
-  obs_util_->set(allocated == 0 ? 0.0
-                                : static_cast<double>(live) /
-                                      static_cast<double>(allocated));
+  obs_pub_.counter("xfs.log.segments_written", stats_.segments_written)
+      .counter("xfs.log.segments_cleaned", stats_.segments_cleaned)
+      .counter("xfs.log.blocks_read", stats_.blocks_read)
+      .gauge("xfs.log.utilization", [this] { return utilization(); });
 }
 
 SegmentId LogStore::allocate_segment() {
@@ -76,8 +60,6 @@ void LogStore::append_segment(net::NodeId writer,
   }
   ++stats_.segments_written;
   stats_.blocks_appended += blocks.size();
-  obs_segments_written_->inc();
-  update_util_gauge();
   storage_.write(writer, segment_offset(s),
                  static_cast<std::uint32_t>(blocks.size()) * block_bytes_,
                  std::move(done));
@@ -87,7 +69,6 @@ void LogStore::read_block(net::NodeId reader, BlockId b, Done done) {
   const auto it = imap_.find(b);
   assert(it != imap_.end() && "read_block() on block not in the log");
   ++stats_.blocks_read;
-  obs_blocks_read_->inc();
   storage_.read(reader,
                 segment_offset(it->second.segment) +
                     static_cast<std::uint64_t>(it->second.slot) *
@@ -99,6 +80,19 @@ double LogStore::utilization(SegmentId s) const {
   if (s >= segments_.size() || segments_[s].free) return 0.0;
   return static_cast<double>(segments_[s].live_count) /
          static_cast<double>(segment_blocks_);
+}
+
+double LogStore::utilization() const {
+  std::uint64_t live = 0;
+  std::uint64_t allocated = 0;
+  for (const Segment& seg : segments_) {
+    if (seg.free) continue;
+    live += seg.live_count;
+    allocated += segment_blocks_;
+  }
+  return allocated == 0 ? 0.0
+                        : static_cast<double>(live) /
+                              static_cast<double>(allocated);
 }
 
 void LogStore::clean(net::NodeId driver, double threshold,
@@ -125,7 +119,6 @@ void LogStore::clean(net::NodeId driver, double threshold,
   }
   stats_.live_blocks_copied += live_blocks.size();
   stats_.segments_cleaned += victims.size();
-  obs_segments_cleaned_->inc(victims.size());
 
   // Read each victim segment (its live data), then append the survivors to
   // fresh segments.  Reads are charged per victim segment.
@@ -168,7 +161,6 @@ void LogStore::clean(net::NodeId driver, double threshold,
                     if (--*reads_left == 0) after_reads();
                   });
   }
-  update_util_gauge();
 }
 
 }  // namespace now::xfs

@@ -49,19 +49,19 @@ struct ReportEntry {
 Xfs::Xfs(proto::RpcLayer& rpc, LogStore& log, std::vector<os::Node*> nodes,
          XfsParams params)
     : rpc_(rpc), log_(log), nodes_(std::move(nodes)), params_(params),
-      obs_reads_(&obs::metrics().counter("xfs.reads")),
-      obs_writes_(&obs::metrics().counter("xfs.writes")),
-      obs_peer_fetches_(&obs::metrics().counter("xfs.peer_fetches")),
-      obs_invalidations_(&obs::metrics().counter("xfs.invalidations")),
-      obs_transfers_(&obs::metrics().counter("xfs.ownership_transfers")),
-      obs_retries_(&obs::metrics().counter("xfs.op_retries")),
-      obs_failed_ops_(&obs::metrics().counter("xfs.failed_ops")),
-      obs_flushes_(&obs::metrics().counter("xfs.segments_flushed")),
-      obs_takeovers_(&obs::metrics().counter("xfs.manager.takeovers")),
-      obs_read_us_(&obs::metrics().summary("xfs.read_latency_us")),
-      obs_write_us_(&obs::metrics().summary("xfs.write_latency_us")),
       obs_track_(obs::tracer().track("xfs")) {
   assert(nodes_.size() >= 2);
+  obs_pub_.counter("xfs.reads", stats_.reads)
+      .counter("xfs.writes", stats_.writes)
+      .counter("xfs.peer_fetches", stats_.peer_fetches)
+      .counter("xfs.invalidations", stats_.invalidations)
+      .counter("xfs.ownership_transfers", stats_.ownership_transfers)
+      .counter("xfs.op_retries", stats_.op_retries)
+      .counter("xfs.failed_ops", stats_.failed_ops)
+      .counter("xfs.segments_flushed", stats_.segments_flushed)
+      .counter("xfs.manager.takeovers", stats_.manager_takeovers)
+      .summary("xfs.read_latency_us", stats_.read_latency_us)
+      .summary("xfs.write_latency_us", stats_.write_latency_us);
   for (os::Node* n : nodes_) {
     ring_.push_back(n->id());
     clients_.emplace(n->id(), ClientState(params_.client_cache_blocks));
@@ -359,14 +359,12 @@ void Xfs::manager_write(net::NodeId self, BlockId b, net::NodeId requester,
   };
   for (const net::NodeId peer : to_invalidate) {
     ++stats_.invalidations;
-    obs_invalidations_->inc();
     rpc_.call(self, peer, kInvalidate, 32, b,
               [finish](std::any) mutable { finish(); },
               params_.op_timeout, [finish]() mutable { finish(); });
   }
   if (prev_owner != net::kInvalidNode) {
     ++stats_.ownership_transfers;
-    obs_transfers_->inc();
     rpc_.call(self, prev_owner, kRevoke, 32, b,
               [finish, had_data](std::any) mutable {
                 *had_data = true;
@@ -378,12 +376,10 @@ void Xfs::manager_write(net::NodeId self, BlockId b, net::NodeId requester,
 
 void Xfs::read(net::NodeId client, BlockId b, Done done) {
   ++stats_.reads;
-  obs_reads_->inc();
   const sim::SimTime t0 = engine().now();
   do_read(client, b,
           [this, client, t0, done = std::move(done)]() mutable {
             stats_.read_latency_us.add(sim::to_us(engine().now() - t0));
-            obs_read_us_->observe(sim::to_us(engine().now() - t0));
             obs::tracer().complete(client, obs_track_, "xfs.read", t0,
                                    engine().now());
             done();
@@ -399,7 +395,6 @@ void Xfs::finish_read(net::NodeId c, BlockId b, Done done) {
 void Xfs::retry_op(net::NodeId c, BlockId b, bool is_write, Done done,
                    std::uint32_t attempts) {
   ++stats_.op_retries;
-  obs_retries_->inc();
   engine().schedule_in(params_.retry_backoff,
                        [this, c, b, is_write, done = std::move(done),
                         attempts]() mutable {
@@ -425,7 +420,6 @@ void Xfs::do_read(net::NodeId c, BlockId b, Done done,
     // Out of patience (manager unreachable): surface as completion; a real
     // FS would return EIO here.  Counted so availability is measurable.
     ++stats_.failed_ops;
-    obs_failed_ops_->inc();
     obs::tracer().instant(c, obs_track_, "op_failed");
     done();
     return;
@@ -459,7 +453,6 @@ void Xfs::do_read(net::NodeId c, BlockId b, Done done,
                 [this, c, b, done, attempts](std::any fr) mutable {
                   if (std::any_cast<FetchReply>(fr).found) {
                     ++stats_.peer_fetches;
-                    obs_peer_fetches_->inc();
                     finish_read(c, b, std::move(done));
                   } else {
                     // Peer dropped it in the meantime: ask again.
@@ -481,12 +474,10 @@ void Xfs::do_read(net::NodeId c, BlockId b, Done done,
 
 void Xfs::write(net::NodeId client, BlockId b, Done done) {
   ++stats_.writes;
-  obs_writes_->inc();
   const sim::SimTime t0 = engine().now();
   do_write(client, b,
            [this, client, t0, done = std::move(done)]() mutable {
              stats_.write_latency_us.add(sim::to_us(engine().now() - t0));
-             obs_write_us_->observe(sim::to_us(engine().now() - t0));
              obs::tracer().complete(client, obs_track_, "xfs.write", t0,
                                     engine().now());
              done();
@@ -506,7 +497,6 @@ void Xfs::do_write(net::NodeId c, BlockId b, Done done,
   }
   if (attempts > params_.max_op_retries) {
     ++stats_.failed_ops;
-    obs_failed_ops_->inc();
     obs::tracer().instant(c, obs_track_, "op_failed");
     done();
     return;
@@ -583,7 +573,6 @@ void Xfs::flush_segment(net::NodeId c, Done done) {
   log_.append_segment(c, batch, [this, c, batch, flush_t0,
                                  done = std::move(done)]() mutable {
     ++stats_.segments_flushed;
-    obs_flushes_->inc();
     obs::tracer().complete(c, obs_track_, "xfs.flush_segment", flush_t0,
                            engine().now());
     ClientState& state = cstate(c);
@@ -667,7 +656,6 @@ void Xfs::client_crashed(net::NodeId client) {
 void Xfs::manager_takeover(net::NodeId failed, net::NodeId successor,
                            Done done) {
   ++stats_.manager_takeovers;
-  obs_takeovers_->inc();
   obs::tracer().instant(successor, obs_track_, "manager_takeover");
   for (net::NodeId& m : ring_) {
     if (m == failed) m = successor;

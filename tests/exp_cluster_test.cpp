@@ -66,7 +66,8 @@ TEST(ExpCluster, ConcurrentClustersMatchSerialByteForByte) {
   // Distinct seeds produced genuinely different simulations.
   EXPECT_NE(serial[0], serial[1]);
   // Nothing leaked into the process-wide registry.
-  EXPECT_EQ(obs::metrics().find_counter("xfs.reads"), nullptr);
+  double reads = 0.0;
+  EXPECT_FALSE(obs::metrics().read("xfs.reads", &reads));
 }
 
 TEST(ExpCluster, ClusterSeedsFromRunContext) {

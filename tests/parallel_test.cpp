@@ -265,6 +265,25 @@ TEST(ParallelCluster, NodeLocalWithServicesThrows) {
   }
 }
 
+TEST(ParallelCluster, AllGlobalWithThreadsThrows) {
+  // kAllGlobal is the serial path; asking it for worker threads is a
+  // config error the cluster reports instead of silently running serial.
+  ClusterConfig cfg;
+  cfg.workstations = 8;
+  cfg.threads = 2;
+  cfg.partitioning = Partitioning::kAllGlobal;
+  try {
+    Cluster c(cfg);
+    FAIL() << "kAllGlobal with threads = 2 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("kAllGlobal"), std::string::npos)
+        << e.what();
+  }
+  cfg.threads = 1;
+  Cluster serial(cfg);
+  EXPECT_EQ(serial.effective_threads(), 1u);
+}
+
 // --- Sweep nesting: jobs x threads must not oversubscribe -------------
 
 TEST(ParallelCluster, SweepClampsNestedThreadBudget) {

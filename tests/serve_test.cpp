@@ -218,8 +218,7 @@ TEST(ClientPopulation, TwoThousandClientStreamsSumToOfferedRate) {
 
 TEST(ClientPopulation, ThinkTimeMeansMatchAcrossDistributions) {
   for (const serve::ThinkDist d :
-       {serve::ThinkDist::kExponential, serve::ThinkDist::kPareto,
-        serve::ThinkDist::kLognormal}) {
+       {serve::ThinkDist::kExponential, serve::ThinkDist::kPareto}) {
     serve::PopulationParams p;
     p.clients = 1;
     p.open_fraction = 0.0;
@@ -649,9 +648,9 @@ TEST(ServeWorkload, ChurnedBuildingRunIsThreadCountInvariant) {
   EXPECT_EQ(t1, t4);
 }
 
-// The live-session headcount is published as an obs gauge; mid-run it
-// must agree with the workload's own lane-sharded count and sit strictly
-// inside (0, clients) for a churning population.
+// The live-session headcount is published as an obs gauge; mid-run the
+// registry must report the workload's own lane-sharded count, which must
+// sit strictly inside (0, clients) for a churning population.
 TEST(ServeWorkload, SessionsActiveGaugeTracksChurn) {
   obs::MetricsRegistry reg;
   obs::MetricsRegistry* prev = obs::set_thread_metrics(&reg);
@@ -688,7 +687,7 @@ TEST(ServeWorkload, SessionsActiveGaugeTracksChurn) {
     double gauge_mid = -1.0;
     std::uint64_t live_mid = 0;
     eng.schedule_at(sim::kSecond, [&] {
-      gauge_mid = reg.find_gauge("serve.sessions_active")->value();
+      EXPECT_TRUE(reg.read("serve.sessions_active", &gauge_mid));
       live_mid = w.sessions_active();
     });
     eng.run();
